@@ -129,7 +129,7 @@ def check_record(path, label):
         record = json.load(f)
     for key in ("workload", "seed", "seconds", "trace", "correct",
                 "attempted", "failed", "mismatches", "env", "params",
-                "metrics", "unbounded_metrics", "run"):
+                "counts", "metrics", "unbounded_metrics", "run"):
         check(key in record, f"{label}: record lacks {key}")
     for key in ("compiler", "march", "build_type", "bnn_isa",
                 "bnn_best_isa", "nproc", "threads"):

@@ -53,23 +53,6 @@ percentile(std::vector<double> values, double q)
     return values[index - 1];
 }
 
-double
-blockedPercentile(const std::vector<double> &values, double q)
-{
-    const std::size_t blocks = std::max<std::size_t>(3, values.size() / 1000);
-    if (values.size() < blocks)
-        return percentile(values, q);
-    std::vector<double> tails;
-    for (std::size_t b = 0; b < blocks; ++b) {
-        const auto begin = values.begin() + static_cast<long>(
-                                                b * values.size() / blocks);
-        const auto end = values.begin() + static_cast<long>(
-                                              (b + 1) * values.size() / blocks);
-        tails.push_back(percentile(std::vector<double>(begin, end), q));
-    }
-    return median(tails);
-}
-
 bool
 setupDone(const std::vector<double> &setup_seconds)
 {

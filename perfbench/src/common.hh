@@ -62,7 +62,10 @@ struct RunResult
     /// Figures every untraced run also reports, outside BENCHMARK.json's
     /// bounded metrics (see perfbench/README.md, "Latency").
     std::vector<Metric> unbounded;
+    /// Workload configuration: identical on every run of a workload.
     std::vector<Param> params;
+    /// Per-run counts (repeats, passes, samples): vary with timing.
+    std::vector<Param> counts;
     /** Threads the workload ran, besides the main thread. */
     std::size_t threads = 0;
 
@@ -78,6 +81,10 @@ struct RunResult
     void param(const std::string &key, const std::string &value)
     {
         params.push_back({key, value});
+    }
+    void count(const std::string &key, std::size_t value)
+    {
+        counts.push_back({key, std::to_string(value)});
     }
 };
 
@@ -102,12 +109,12 @@ double percentile(std::vector<double> values, double q);
 bool setupDone(const std::vector<double> &setup_seconds);
 
 /**
- * Tail percentile robust to host stalls: @p values (in time order) are
- * split into contiguous blocks — three, or one per 1000 values when
- * there are more — and the result is the median of the blocks'
- * nearest-rank percentiles @p q.
+ * Whether a workload has set up often enough: at least 5 times and for
+ * at least 0.3 s in total (setups of small models take well under a
+ * millisecond, so their median needs many repeats), at most 200 times.
+ * setup_s is the median of the repeats.
  */
-double blockedPercentile(const std::vector<double> &values, double q);
+bool setupDone(const std::vector<double> &setup_seconds);
 
 /** Peak resident set size of this process in MiB. */
 double peakRssMb();

@@ -105,6 +105,18 @@ jsonNumber(double value)
 }
 
 std::string
+jsonParams(const std::vector<Param> &params)
+{
+    std::string out = "{";
+    for (std::size_t i = 0; i < params.size(); ++i) {
+        if (i > 0)
+            out += ",";
+        out += jsonString(params[i].key) + ":" + jsonString(params[i].value);
+    }
+    return out + "}";
+}
+
+std::string
 jsonMetrics(const std::vector<Metric> &metrics)
 {
     std::string out = "{";
@@ -142,14 +154,9 @@ printRecord(const RunOptions &options, const RunResult &result)
     out += ",\"bnn_best_isa\":" + jsonString(bnnIsaName(bnnBestIsa()));
     out += ",\"nproc\":" + std::to_string(cpuCount());
     out += ",\"threads\":" + std::to_string(result.threads);
-    out += "},\"params\":{";
-    for (std::size_t i = 0; i < result.params.size(); ++i) {
-        if (i > 0)
-            out += ",";
-        out += jsonString(result.params[i].key) + ":" +
-               jsonString(result.params[i].value);
-    }
-    out += "},\"metrics\":" + jsonMetrics(result.metrics);
+    out += "},\"params\":" + jsonParams(result.params);
+    out += ",\"counts\":" + jsonParams(result.counts);
+    out += ",\"metrics\":" + jsonMetrics(result.metrics);
     out += ",\"unbounded_metrics\":" + jsonMetrics(result.unbounded);
     out += "}";
     std::printf("%s\n", out.c_str());
