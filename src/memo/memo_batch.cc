@@ -1,5 +1,6 @@
 #include "memo/memo_batch.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -34,22 +35,28 @@ constexpr std::size_t kProbeNeuronBlock = 32;
  *
  * — integer arithmetic throughout, so decisions are bit-identical to
  * bnnReuseDecision (the caller guards against (theta+1)*mag overflow).
- * Misses are compress-stored into @p miss in ascending slot order;
- * reusing slots (the sparse outcome at low theta) are resolved in the
- * scalar mask loop, which is also where the Q16 division finally runs.
+ * A final step of fewer than eight slots runs the same comparison over
+ * masked loads (masked-out lanes read as invalid and are dropped from
+ * both outcomes), so panels narrower than eight slots — a small
+ * chunkSize — stay on the vector path too.
+ * Misses are compress-stored into @p miss in ascending slot order and
+ * flagged in @p miss_blocks (one bit per slot); reusing slots (the
+ * sparse outcome at low theta) are resolved in the scalar mask loop,
+ * which is also where the Q16 division finally runs.
  *
  * Explicit intrinsics behind a target attribute for the same reason as
  * tensor/bitpack_simd.cc: -march=native is off limits under gcc 12.
  *
  * @return the miss count
  */
-__attribute__((target("avx512f,avx512dq,popcnt"))) std::size_t
+__attribute__((target("avx512f,avx512dq,avx512bw,avx512vl,popcnt")))
+std::size_t
 decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
                 std::size_t e0, const std::int32_t *bnn_row,
                 const std::uint8_t *valid_row, std::int64_t *draw_row,
                 const float *y_row, std::uint64_t *reused_row,
                 float *const *out_rows, std::size_t n,
-                std::int64_t theta_raw, Q16 theta_q, std::uint32_t *miss,
+                std::int64_t theta_raw, std::uint32_t *miss,
                 std::uint8_t *miss_blocks)
 {
     std::size_t miss_count = 0;
@@ -58,24 +65,22 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
     const __m512i lane_idx =
         _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 0, 0, 0, 0, 0, 0, 0, 0);
 
-    std::size_t i = 0;
-    for (; i + 8 <= slots; i += 8) {
+    for (std::size_t i = 0; i < slots; i += 8) {
+        const unsigned lanes =
+            slots - i >= 8 ? 0xffu : (1u << (slots - i)) - 1u;
         // maskz_* forms of the widening/abs intrinsics: the plain forms
         // expand through _mm512_undefined_epi32(), which gcc 12 flags
         // with -Wmaybe-uninitialized.
         const __m512i yb = _mm512_maskz_cvtepi32_epi64(
-            0xff, _mm256_loadu_si256(
-                      reinterpret_cast<const __m256i *>(yb_row + i)));
+            0xff, _mm256_maskz_loadu_epi32(lanes, yb_row + i));
         const __m512i ym = _mm512_maskz_cvtepi32_epi64(
-            0xff, _mm256_loadu_si256(
-                      reinterpret_cast<const __m256i *>(bnn_row + e0 + i)));
+            0xff, _mm256_maskz_loadu_epi32(lanes, bnn_row + e0 + i));
         const __mmask8 valid = _mm512_cmpneq_epi64_mask(
             _mm512_maskz_cvtepu8_epi64(
-                0xff, _mm_loadl_epi64(reinterpret_cast<const __m128i *>(
-                          valid_row + e0 + i))),
+                0xff, _mm_maskz_loadu_epi8(lanes, valid_row + e0 + i)),
             zero);
         const __m512i prev =
-            _mm512_loadu_si512(draw_row + e0 + i);
+            _mm512_maskz_loadu_epi64(lanes, draw_row + e0 + i);
         const __m512i diff =
             _mm512_maskz_abs_epi64(0xff, _mm512_sub_epi64(yb, ym));
         const __m512i mag = _mm512_maskz_abs_epi64(0xff, yb);
@@ -90,8 +95,7 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
             _mm512_cmplt_epi64_mask(prev, theta1);
         const unsigned reuse = static_cast<unsigned>(valid) &
                                ((nonzero & lt) | (~nonzero & zero_reuse));
-        const __mmask16 miss_m =
-            static_cast<__mmask16>(~reuse & 0xffu);
+        const __mmask16 miss_m = static_cast<__mmask16>(~reuse & lanes);
         miss_blocks[i / 8] = static_cast<std::uint8_t>(miss_m);
 
         _mm512_mask_compressstoreu_epi32(
@@ -116,24 +120,6 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
             ++reused_row[e];
         }
     }
-
-    // Scalar tail (slots % 8) through the shared decision kernel.
-    if (i < slots)
-        miss_blocks[i / 8] = 0;
-    for (; i < slots; ++i) {
-        const std::size_t e = e0 + i;
-        const BnnDecision decision =
-            bnnReuseDecision(yb_row[i], bnn_row[e], valid_row[e] != 0,
-                             draw_row[e], 0.0, true, true, 0.0, theta_q);
-        if (decision.reuse) {
-            out_rows[i][n] = y_row[e];
-            draw_row[e] = decision.deltaRaw;
-            ++reused_row[e];
-        } else {
-            miss[miss_count++] = static_cast<std::uint32_t>(i);
-            miss_blocks[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-        }
-    }
     return miss_count;
 }
 
@@ -142,9 +128,11 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
  * full-panel path: forward/recurrent hold every slot's dots, and the
  * missing slots' table entries are contiguous, so one 8-slot step
  * refreshes y_m, yb_m, delta_b and the valid byte with four masked
- * stores. Only the per-sequence preact write stays scalar (each slot's
- * output row is a different buffer). The committed y_t is the same
- * float add the scalar loop performs.
+ * stores (a final narrower step is just a narrower miss mask; the
+ * masked loads never touch slots past the panel). Only the per-sequence
+ * preact write stays scalar (each slot's output row is a different
+ * buffer). The committed y_t is the same float add the scalar loop
+ * performs.
  */
 __attribute__((target(
     "avx512f,avx512dq,avx512bw,avx512vl,popcnt"))) void
@@ -157,18 +145,16 @@ commitRowAvx512(const std::uint8_t *miss_blocks, std::size_t slots,
 {
     const __m512i zero64 = _mm512_setzero_si512();
     const __m128i one8 = _mm_set1_epi8(1);
-    std::size_t i = 0;
-    for (; i + 8 <= slots; i += 8) {
+    for (std::size_t i = 0; i < slots; i += 8) {
         const __mmask8 m = miss_blocks[i / 8];
         if (m == 0)
             continue;
-        const __m256 y_t = _mm256_add_ps(_mm256_loadu_ps(forward + i),
-                                         _mm256_loadu_ps(recurrent + i));
+        const __m256 y_t =
+            _mm256_add_ps(_mm256_maskz_loadu_ps(m, forward + i),
+                          _mm256_maskz_loadu_ps(m, recurrent + i));
         _mm256_mask_storeu_ps(y_row + e0 + i, m, y_t);
-        _mm256_mask_storeu_epi32(
-            bnn_row + e0 + i, m,
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(yb_row + i)));
+        _mm256_mask_storeu_epi32(bnn_row + e0 + i, m,
+                                 _mm256_maskz_loadu_epi32(m, yb_row + i));
         _mm512_mask_storeu_epi64(draw_row + e0 + i, m, zero64);
         _mm_mask_storeu_epi8(valid_row + e0 + i, m, one8);
 
@@ -180,17 +166,6 @@ commitRowAvx512(const std::uint8_t *miss_blocks, std::size_t slots,
             rm &= rm - 1;
             out_rows[i + j][n] = y_s[j];
         }
-    }
-    for (; i < slots; ++i) {
-        if (((miss_blocks[i / 8] >> (i % 8)) & 1) == 0)
-            continue;
-        const std::size_t e = e0 + i;
-        const float y_t = forward[i] + recurrent[i];
-        out_rows[i][n] = y_t;
-        y_row[e] = y_t;
-        bnn_row[e] = yb_row[i];
-        draw_row[e] = 0;
-        valid_row[e] = 1;
     }
 }
 
@@ -419,34 +394,24 @@ BatchMemoEngine::evaluateOracleBatch(const nn::GateInstance &instance,
 {
     const std::size_t stat_base = instance.instanceId * slotStride_;
 
-    // The Oracle always computes y_t (Eq. 9), so the whole panel goes
-    // through the blocked kernel: each weight row is streamed once
-    // across every live slot. thread_local scratch: one set of reusable
-    // buffers per pool worker, no per-gate-call allocation.
-    thread_local std::vector<const float *> x_rows;
-    thread_local std::vector<const float *> h_rows;
+    // The Oracle always computes y_t (Eq. 9), so the whole panel takes
+    // the exact batched product first — preact = Wx.x + Wh.h, the same
+    // float(dotLanes + dotLanes) the serial engine's evaluateNeuron
+    // produces — and the decisions then overwrite reused entries.
+    // thread_local scratch: one set of reusable buffers per pool worker,
+    // no per-gate-call allocation.
+    params.wx.matvecPanel(x, rows, preact, false);
+    params.wh.matvecPanel(h, rows, preact, true);
     thread_local std::vector<float *> out_rows;
-    thread_local std::vector<float> forward;
-    thread_local std::vector<float> recurrent;
-    x_rows.resize(rows.size());
-    h_rows.resize(rows.size());
     out_rows.resize(rows.size());
-    forward.resize(rows.size());
-    recurrent.resize(rows.size());
-    tensor::gatherRowPointers(x, rows, x_rows);
-    tensor::gatherRowPointers(h, rows, h_rows);
     tensor::gatherRowPointers(preact, rows, out_rows);
     for (std::size_t n = 0; n < instance.neurons; ++n) {
-        tensor::dotLanesRows(params.wx.row(n), x_rows, forward);
-        tensor::dotLanesRows(params.wh.row(n), h_rows, recurrent);
         const std::size_t entry_base =
             (instance.neuronBase + n) * slotStride_;
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const std::size_t slot = slot_base + rows[i];
             const std::size_t entry = entry_base + slot;
-            // The same float(dotLanes + dotLanes) the serial engine's
-            // evaluateNeuron produces.
-            const float y_t = forward[i] + recurrent[i];
+            const float y_t = out_rows[i][n];
             const bool reuse = oracleReuseDecision(
                 y_t, cachedOutput_[entry], valid_[entry] != 0,
                 slotThetaFp_[slot]);
@@ -456,7 +421,6 @@ BatchMemoEngine::evaluateOracleBatch(const nn::GateInstance &instance,
                 out_rows[i][n] = cachedOutput_[entry];
                 ++slotReused_[stat_base + slot];
             } else {
-                out_rows[i][n] = y_t;
                 cachedOutput_[entry] = y_t;
                 valid_[entry] = 1;
             }
@@ -495,7 +459,17 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                 std::chrono::steady_clock::now().time_since_epoch())
                 .count());
     };
+    // Charges the time since the last phase boundary to @p phase: one
+    // clock read per phase of each probe block. The first probe lap
+    // also covers input binarization and the scratch setup below.
     std::uint64_t t_mark = timed ? now_ns() : 0;
+    const auto lap = [&](std::uint64_t &phase) {
+        if (!timed)
+            return;
+        const std::uint64_t t = now_ns();
+        phase += t - t_mark;
+        t_mark = t;
+    };
 
     // One input binarization per live slot per timestep (the FMU input
     // vector of each sequence). thread_local so concurrent chunks never
@@ -513,11 +487,6 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
             inputs[i] = tensor::BitVector(width);
         inputs[i].assignConcat(x.row(rows[i]), h.row(rows[i]));
         input_words[i] = inputs[i].raw().data();
-    }
-    if (timed) {
-        const std::uint64_t t = now_ns();
-        probe_ns += t - t_mark; // input binarization is probe work
-        t_mark = t;
     }
 
     // thread_local scratch, one set per pool worker (see
@@ -541,18 +510,24 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
         slot_entry[i] =
             static_cast<std::uint32_t>(slot_base + rows[i]);
 
-    // Per-neuron scratch: which slots missed (as indices and as per-
-    // 8-slot bit blocks), and their blocked dots.
+    // Per-probe-block decision scratch, row r of the block at offset
+    // r * slots (indices) and r * mask_bytes (masks): which slots missed,
+    // as ascending indices and as one bit per slot in 8-slot bytes.
+    // forward/recurrent hold up to one register tile of dots.
+    const std::size_t mask_bytes = (slots + 7) / 8;
     thread_local std::vector<std::uint32_t> miss;
     thread_local std::vector<std::uint8_t> miss_blocks;
     thread_local std::vector<const float *> miss_x;
     thread_local std::vector<const float *> miss_h;
     thread_local std::vector<float> forward;
     thread_local std::vector<float> recurrent;
-    miss.resize(slots);
-    miss_blocks.resize((slots + 7) / 8);
+    miss.resize(kProbeNeuronBlock * slots);
+    miss_blocks.resize(kProbeNeuronBlock * mask_bytes);
     miss_x.reserve(slots);
     miss_h.reserve(slots);
+    forward.resize(tensor::kTileWeightRows * slots);
+    recurrent.resize(tensor::kTileWeightRows * slots);
+    std::size_t miss_count[kProbeNeuronBlock];
     std::uint64_t *reused_row = slotReused_.data() + stat_base;
 
     // Probe panel: all live slots of a block of neurons per kernel
@@ -580,7 +555,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
         __builtin_cpu_supports("avx512f") > 0 &&
         __builtin_cpu_supports("avx512dq") > 0 &&
         __builtin_cpu_supports("avx512bw") > 0 &&
-        __builtin_cpu_supports("avx512vl") > 0; // commit's masked stores
+        __builtin_cpu_supports("avx512vl") > 0;
     const bool dense =
         slots > 0 && slot_entry[slots - 1] - slot_entry[0] + 1 == slots;
     const std::int64_t panel_theta_raw =
@@ -597,23 +572,78 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
         panel_theta_raw <
             std::numeric_limits<std::int64_t>::max() /
                 (static_cast<std::int64_t>(2 * width + 2) << 16);
-#else
-    constexpr bool vector_decide = false;
 #endif
+
+    // Phase 2 (Eqs. 15-17) for row r of the block at n0: emit y_t and
+    // refresh the whole entry of every slot that missed. by_slot: the
+    // dots are indexed by panel slot (a full-panel evaluation, which
+    // also computed the hit slots; their dots are dropped) rather than
+    // by miss rank (a compacted evaluation).
+    const auto commit = [&](std::size_t n0, std::size_t r,
+                            const float *fwd, const float *rec,
+                            bool by_slot) {
+        const std::size_t n = n0 + r;
+        const std::size_t entry_base =
+            (instance.neuronBase + n) * slotStride_;
+        const std::int32_t *yb_row = yb_panel.data() + r * slots;
+        float *y_row = cachedOutput_.data() + entry_base;
+        std::int32_t *bnn_row = cachedBnn_.data() + entry_base;
+        std::uint8_t *valid_row = valid_.data() + entry_base;
+#if defined(__x86_64__)
+        if (vector_decide && by_slot) {
+            commitRowAvx512(miss_blocks.data() + r * mask_bytes, slots,
+                            slot_entry[0], fwd, rec, yb_row, y_row,
+                            bnn_row, deltaRaw_.data() + entry_base,
+                            valid_row, out_rows.data(), n);
+            return;
+        }
+#endif
+        const std::uint32_t *row_miss = miss.data() + r * slots;
+        for (std::size_t m = 0; m < miss_count[r]; ++m) {
+            const std::size_t i = row_miss[m];
+            const std::size_t d = by_slot ? i : m;
+            const std::uint32_t e = slot_entry[i];
+            const float y_t = fwd[d] + rec[d];
+            out_rows[i][n] = y_t;
+            y_row[e] = y_t;
+            bnn_row[e] = yb_row[i];
+            if (fixed_point)
+                deltaRaw_[entry_base + e] = 0;
+            else
+                deltaFp_[entry_base + e] = 0.0;
+            valid_row[e] = 1;
+        }
+    };
+
+    // Whether the miss sets of rows a, b and c of the block together
+    // cover every live slot.
+    const auto covers_panel = [&](std::size_t a, std::size_t b,
+                                  std::size_t c) {
+        if (miss_count[a] + miss_count[b] + miss_count[c] < slots)
+            return false;
+        const std::uint8_t *ma = miss_blocks.data() + a * mask_bytes;
+        const std::uint8_t *mb = miss_blocks.data() + b * mask_bytes;
+        const std::uint8_t *mc = miss_blocks.data() + c * mask_bytes;
+        for (std::size_t w = 0; w < mask_bytes; ++w) {
+            const unsigned lanes =
+                slots - 8 * w >= 8 ? 0xffu : (1u << (slots - 8 * w)) - 1u;
+            if ((ma[w] | mb[w] | mc[w]) != lanes)
+                return false;
+        }
+        return true;
+    };
 
     for (std::size_t n0 = 0; n0 < instance.neurons;
          n0 += kProbeNeuronBlock) {
         const std::size_t block =
             std::min(kProbeNeuronBlock, instance.neurons - n0);
-        if (timed)
-            t_mark = now_ns();
         tensor::bnnDotPanel(bgate.weights(), n0, block, input_words,
                             yb_panel);
-        if (timed) {
-            const std::uint64_t t = now_ns();
-            probe_ns += t - t_mark;
-        }
+        lap(probe_ns);
 
+        // Phase 1, the whole block first: the cheap BNN probe decides
+        // per slot; hits are resolved immediately, misses are queued
+        // per row (the queued yb_t stays readable in yb_panel).
         for (std::size_t r = 0; r < block; ++r) {
             const std::size_t n = n0 + r;
             const std::int32_t *yb_row = yb_panel.data() + r * slots;
@@ -628,24 +658,22 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
             double *dfp_row =
                 fixed_point ? nullptr : deltaFp_.data() + entry_base;
             const float *y_row = cachedOutput_.data() + entry_base;
+            std::uint32_t *row_miss = miss.data() + r * slots;
+            std::uint8_t *row_blocks = miss_blocks.data() + r * mask_bytes;
 
-            // Phase 1: the cheap BNN probe decides per slot; hits are
-            // resolved immediately, misses are queued (the queued yb_t
-            // stays readable in yb_row).
-            std::size_t miss_count = 0;
-            if (timed)
-                t_mark = now_ns();
 #if defined(__x86_64__)
             if (vector_decide) {
                 // vector_decide implies every slot sits at the same
                 // theta, so the panel-wide value is exact here.
-                miss_count = decideRowAvx512(
+                miss_count[r] = decideRowAvx512(
                     yb_row, slots, slot_entry[0], bnn_row, valid_row,
                     draw_row, y_row, reused_row, out_rows.data(), n,
-                    panel_theta_raw, Q16::fromRaw(panel_theta_raw),
-                    miss.data(), miss_blocks.data());
-            } else
+                    panel_theta_raw, row_miss, row_blocks);
+                continue;
+            }
 #endif
+            std::size_t misses = 0;
+            std::fill_n(row_blocks, mask_bytes, std::uint8_t{0});
             for (std::size_t i = 0; i < slots; ++i) {
                 const std::uint32_t e = slot_entry[i];
                 const std::int32_t yb_t = yb_row[i];
@@ -671,79 +699,71 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                         dfp_row[e] = decision.deltaFp;
                     ++reused_row[e];
                 } else {
-                    miss[miss_count++] = static_cast<std::uint32_t>(i);
+                    row_miss[misses++] = static_cast<std::uint32_t>(i);
+                    row_blocks[i / 8] |=
+                        static_cast<std::uint8_t>(1u << (i % 8));
                 }
             }
-
-            // Phase 2 (Eqs. 15-17): full evaluation of the missing
-            // slots through the blocked kernel, one weight-row read for
-            // all of them; refresh the whole entry.
-            if (timed) {
-                const std::uint64_t t = now_ns();
-                decide_ns += t - t_mark;
-                t_mark = t;
-            }
-            if (miss_count == 0)
-                continue;
-
-            // When every slot missed (the common case at low theta),
-            // reuse the already-gathered full panel pointers and the
-            // masked-store commit; partial misses go through the
-            // compacted pointer list, which dotLanesRows evaluates in
-            // at most ceil(miss/8) weight streams (single-width tail
-            // blocks, no 4/2/1 cascade), so a 15-of-16 miss costs two
-            // streams, same as the full panel, minus the hit slot.
-            const bool full_panel = miss_count == slots;
-            const std::size_t m_count = full_panel ? slots : miss_count;
-            forward.resize(m_count);
-            recurrent.resize(m_count);
-            if (full_panel) {
-                tensor::dotLanesRows(params.wx.row(n),
-                                     {x_rows.data(), slots}, forward);
-                tensor::dotLanesRows(params.wh.row(n),
-                                     {h_rows.data(), slots}, recurrent);
-            } else {
-                miss_x.resize(miss_count);
-                miss_h.resize(miss_count);
-                for (std::size_t m = 0; m < miss_count; ++m) {
-                    miss_x[m] = x_rows[miss[m]];
-                    miss_h[m] = h_rows[miss[m]];
-                }
-                tensor::dotLanesRows(params.wx.row(n), miss_x, forward);
-                tensor::dotLanesRows(params.wh.row(n), miss_h,
-                                     recurrent);
-            }
-            std::int32_t *bnn_wrow = cachedBnn_.data() + entry_base;
-            std::uint8_t *valid_wrow = valid_.data() + entry_base;
-            float *y_wrow = cachedOutput_.data() + entry_base;
-#if defined(__x86_64__)
-            if (vector_decide && full_panel) {
-                commitRowAvx512(miss_blocks.data(), slots, slot_entry[0],
-                                forward.data(), recurrent.data(), yb_row,
-                                y_wrow, bnn_wrow, draw_row, valid_wrow,
-                                out_rows.data(), n);
-                if (timed)
-                    commit_ns += now_ns() - t_mark;
-                continue;
-            }
-#endif
-            for (std::size_t m = 0; m < miss_count; ++m) {
-                const std::size_t i = miss[m];
-                const std::size_t d = full_panel ? i : m;
-                const std::uint32_t e = slot_entry[i];
-                const float y_t = forward[d] + recurrent[d];
-                out_rows[i][n] = y_t;
-                y_wrow[e] = y_t;
-                bnn_wrow[e] = yb_row[i];
-                if (fixed_point)
-                    draw_row[e] = 0;
-                else
-                    dfp_row[e] = 0.0;
-                valid_wrow[e] = 1;
-            }
-            if (timed)
-                commit_ns += now_ns() - t_mark;
+            miss_count[r] = misses;
         }
+        lap(decide_ns);
+
+        // Phase 2 over the block's rows with misses, in triples: when a
+        // triple's miss sets together cover the panel, one register
+        // tile over the already-gathered panel pointers evaluates all
+        // three rows, and each row commits only its own misses. A
+        // partial row streams the same weight row as a full one, so the
+        // hit slots computed inside such a tile cost almost nothing.
+        // Otherwise the next row alone takes the full panel (every slot
+        // missed) or the compacted pointer list of its misses.
+        std::size_t missing[kProbeNeuronBlock];
+        std::size_t missing_count = 0;
+        for (std::size_t r = 0; r < block; ++r)
+            if (miss_count[r] != 0)
+                missing[missing_count++] = r;
+        for (std::size_t j = 0; j < missing_count;) {
+            if (j + tensor::kTileWeightRows <= missing_count &&
+                covers_panel(missing[j], missing[j + 1],
+                             missing[j + 2])) {
+                const float *wx_rows[tensor::kTileWeightRows];
+                const float *wh_rows[tensor::kTileWeightRows];
+                for (std::size_t k = 0; k < tensor::kTileWeightRows; ++k) {
+                    wx_rows[k] = params.wx.row(n0 + missing[j + k]).data();
+                    wh_rows[k] = params.wh.row(n0 + missing[j + k]).data();
+                }
+                tensor::dotLanesTile(wx_rows, x_rows, params.wx.cols(),
+                                     forward);
+                tensor::dotLanesTile(wh_rows, h_rows, params.wh.cols(),
+                                     recurrent);
+                for (std::size_t k = 0; k < tensor::kTileWeightRows; ++k)
+                    commit(n0, missing[j + k], forward.data() + k * slots,
+                           recurrent.data() + k * slots, true);
+                j += tensor::kTileWeightRows;
+                continue;
+            }
+
+            const std::size_t r = missing[j++];
+            const std::size_t n = n0 + r;
+            const std::span<float> fwd{forward.data(), miss_count[r]};
+            const std::span<float> rec{recurrent.data(), miss_count[r]};
+            if (miss_count[r] == slots) {
+                tensor::dotLanesRows(params.wx.row(n), x_rows, fwd);
+                tensor::dotLanesRows(params.wh.row(n), h_rows, rec);
+                commit(n0, r, fwd.data(), rec.data(), true);
+                continue;
+            }
+            const std::uint32_t *row_miss = miss.data() + r * slots;
+            miss_x.resize(miss_count[r]);
+            miss_h.resize(miss_count[r]);
+            for (std::size_t m = 0; m < miss_count[r]; ++m) {
+                miss_x[m] = x_rows[row_miss[m]];
+                miss_h[m] = h_rows[row_miss[m]];
+            }
+            tensor::dotLanesRows(params.wx.row(n), miss_x, fwd);
+            tensor::dotLanesRows(params.wh.row(n), miss_h, rec);
+            commit(n0, r, fwd.data(), rec.data(), false);
+        }
+        lap(commit_ns);
     }
     if (timed) {
         sink->probeNs.fetch_add(probe_ns, std::memory_order_relaxed);

@@ -8,6 +8,16 @@
 /// weight row is read once and its decision loop walks contiguous slot
 /// entries.
 ///
+/// A BNN gate call works in blocks of 32 neurons: probe the block for
+/// every live slot, decide the whole block, then commit it. Commit walks
+/// the block's neurons that missed on some slot in triples; when a
+/// triple's misses together cover every slot, one register tile
+/// (tensor::dotLanesTile) evaluates all three neurons over the full
+/// panel and each commits only its own misses — the hit slots it also
+/// computed are dropped, because a partially missing neuron streams the
+/// same weight row as a fully missing one. Other neurons are evaluated
+/// alone over the slots they missed.
+///
 /// Every sequence slot evolves exactly as a serial MemoEngine would evolve
 /// for that sequence alone (shared decision kernels, memo/memo_decision.hh)
 /// — including independent per-sequence throttling state — so outputs and
@@ -39,9 +49,9 @@ namespace nlfm::memo
 
 /// Aggregate wall-time attribution of the BNN gate-evaluation phases,
 /// accumulated by BatchMemoEngine when a sink is attached
-/// (setPhaseSink). Probe covers input binarization + the bit-packed
-/// yb_t panel kernel; decide the per-neuron reuse decisions (Phase 1);
-/// commit the miss FMA panels + table refresh (Phase 2). Atomic
+/// (setPhaseSink). Probe covers input binarization, per-call scratch
+/// setup and the bit-packed yb_t panel kernel; decide the per-neuron reuse decisions (Phase 1);
+/// commit the miss FMA tiles + table refresh (Phase 2). Atomic
 /// because a serving tick's chunks may run on concurrent pool workers,
 /// each flushing its per-call totals once. Consumers (the serving
 /// tracer) difference the counters between reads — values are
@@ -151,8 +161,9 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     /// Attach (or detach, with nullptr — the default) the phase-time
     /// sink. Null means ZERO timing overhead: the hot loop's clock
     /// reads sit behind one branch on this pointer. Enabled, the BNN
-    /// path adds two clock reads per neuron row plus two per probe
-    /// block — serving-telemetry cost, opt-in like everything else.
+    /// path reads the clock once per gate call plus once per phase of
+    /// each 32-neuron probe block (probe, decide, commit) — serving-
+    /// telemetry cost, opt-in like everything else.
     /// The Oracle path records nothing (it has no probe/decide split).
     /// The sink must outlive the engine or be detached first.
     void setPhaseSink(GatePhaseTimes *sink) { phaseSink_ = sink; }

@@ -185,7 +185,7 @@ namespace
 /**
  * Portable lane group: the shared word is loaded once and XOR-popcounted
  * into kLanes accumulators (std::popcount is a single POPCNT at
- * x86-64-v2 and above). The structural mirror of dotLanesBlock.
+ * x86-64-v2 and above).
  */
 template <int kLanes>
 void

@@ -32,9 +32,10 @@
  * dot product is exact — so memoization decisions never depend on the
  * dispatched ISA; tests/bitpack_test.cc pins this.
  *
- * All variants share one panel structure (mirroring the float kernels'
- * dotLanesBlock): a *shared* stream (a weight row, or the probe input)
- * is loaded once per block and XOR-popcounted against up to 8 *lane*
+ * All variants share one panel structure (the float kernels'
+ * dotLanesTile does the same in two dimensions): a *shared* stream (a
+ * weight row, or the probe input) is loaded once per block and
+ * XOR-popcounted against up to 8 *lane*
  * streams, so evaluating a panel of R weight rows × S slot inputs costs
  * each operand one pass through the cache hierarchy.
  */

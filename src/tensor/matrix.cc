@@ -1,5 +1,7 @@
 #include "tensor/matrix.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "tensor/vector_ops.hh"
 
@@ -73,25 +75,36 @@ Matrix::matvecPanel(const Matrix &inputs, std::span<const std::size_t> rows,
                 "matvecPanel: out shape mismatch");
 
     // Gather the live rows' base pointers once; the neuron loop then
-    // streams each weight row across the whole panel via the blocked
-    // kernel. thread_local scratch: this runs per gate per timestep, and
-    // each pool worker reuses its own buffers instead of reallocating.
+    // streams each triple of weight rows across the whole panel via the
+    // register-tiled kernel. thread_local scratch: this runs per gate
+    // per timestep, and each pool worker reuses its own buffers instead
+    // of reallocating.
     thread_local std::vector<const float *> input_rows;
     thread_local std::vector<float *> out_rows;
     thread_local std::vector<float> products;
-    input_rows.resize(rows.size());
-    out_rows.resize(rows.size());
-    products.resize(rows.size());
+    const std::size_t panel = rows.size();
+    input_rows.resize(panel);
+    out_rows.resize(panel);
+    products.resize(kTileWeightRows * panel);
     gatherRowPointers(inputs, rows, input_rows);
     gatherRowPointers(out, rows, out_rows);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        dotLanesRows(row(r), input_rows, products);
-        if (accumulate) {
-            for (std::size_t i = 0; i < rows.size(); ++i)
-                out_rows[i][r] += products[i];
-        } else {
-            for (std::size_t i = 0; i < rows.size(); ++i)
-                out_rows[i][r] = products[i];
+    for (std::size_t r0 = 0; r0 < rows_; r0 += kTileWeightRows) {
+        const std::size_t tile = std::min(kTileWeightRows, rows_ - r0);
+        const float *weights[kTileWeightRows];
+        for (std::size_t k = 0; k < tile; ++k)
+            weights[k] = row(r0 + k).data();
+        dotLanesTile({weights, tile}, input_rows, cols_,
+                     {products.data(), tile * panel});
+        for (std::size_t k = 0; k < tile; ++k) {
+            const float *product = products.data() + k * panel;
+            const std::size_t r = r0 + k;
+            if (accumulate) {
+                for (std::size_t i = 0; i < panel; ++i)
+                    out_rows[i][r] += product[i];
+            } else {
+                for (std::size_t i = 0; i < panel; ++i)
+                    out_rows[i][r] = product[i];
+            }
         }
     }
 }

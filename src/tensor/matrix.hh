@@ -61,9 +61,10 @@ class Matrix
      *     out(b, r) = dot(row(r), inputs.row(b))      (!accumulate)
      *     out(b, r) += dot(row(r), inputs.row(b))     (accumulate)
      *
-     * inputs is [B x width], out is [B x neurons]. Neuron rows are the
-     * outer loop so one weight row is streamed across the whole panel —
-     * the weight-read amortization the batch path exists for. Per-row
+     * inputs is [B x width], out is [B x neurons]. Triples of neuron
+     * rows are the outer loop, evaluated in dotLanesTile register tiles
+     * across the whole panel — the weight-read amortization the batch
+     * path exists for. Per-row
      * results are bitwise identical to dotLanes(row(r), inputs.row(b)),
      * the explicit-lane kernel the serial gate path (dotPair) uses.
      */

@@ -25,18 +25,33 @@ float dot(std::span<const float> a, std::span<const float> b);
  * 8-element blocks, a scalar tail, and a fixed-order horizontal
  * reduction. Unlike dot(), whose reduction order is whatever the
  * compiler picks per call site, the operation DAG here is pinned by the
- * source structure — which is what lets the batched panel kernel
- * (dotLanesRows) interleave many rows per weight load and still produce
- * bit-identical per-row results.
+ * source structure — which is what lets the register-tiled panel kernel
+ * (dotLanesTile) evaluate many weight rows against many input rows per
+ * load and still produce bit-identical per-output results.
  */
 float dotLanes(std::span<const float> a, std::span<const float> b);
 
+/** Weight rows per dotLanesTile register tile. */
+inline constexpr std::size_t kTileWeightRows = 3;
+/** Input rows per dotLanesTile register tile. */
+inline constexpr std::size_t kTileInputRows = 4;
+
 /**
- * Blocked multi-row GEMV panel kernel: out[r] = dotLanes(w, *xs[r]) for
- * every r, bit for bit, but with each weight block loaded once and
- * FMA-ed into up to 8 rows' accumulators. The per-weight-load
- * arithmetic intensity is what makes batched evaluation beat the serial
- * path even on one core.
+ * Register-tiled GEMV panel kernel: out[k * xs.size() + r] =
+ * dotLanes({ws[k], n}, {xs[r], n}) for every weight row k (1 to
+ * kTileWeightRows of them) and input row r, bit for bit. The inputs are
+ * walked in tiles of kTileWeightRows x kTileInputRows, so each 8-float
+ * weight load feeds up to kTileInputRows FMAs and each input load up to
+ * kTileWeightRows: batched evaluation reads a weight row once per tile
+ * instead of once per sequence.
+ */
+void dotLanesTile(std::span<const float *const> ws,
+                  std::span<const float *const> xs, std::size_t n,
+                  std::span<float> out);
+
+/**
+ * One weight row against a panel of inputs: out[r] = dotLanes(w, *xs[r])
+ * for every r, bit for bit (dotLanesTile with a single weight row).
  */
 void dotLanesRows(std::span<const float> w,
                   std::span<const float *const> xs, std::span<float> out);

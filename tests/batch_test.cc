@@ -9,6 +9,7 @@
 
 #include <algorithm>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "memo/memo_batch.hh"
 #include "nn/init.hh"
@@ -124,39 +125,43 @@ TEST(MatvecPanelTest, MatchesSerialRowKernelBitwise)
 {
     // The panel kernel's contract is bitwise identity with the
     // explicit-lane row kernel (dotLanes) that the serial gate path
-    // evaluates per neuron — for every panel width, including the
-    // blocked 8/4/2/1 grouping paths.
+    // evaluates per neuron — for every panel width and weight-row count,
+    // so every tile shape (1-3 weight rows x 1-4 input rows) runs.
     Rng rng(3);
-    tensor::Matrix weights(7, 19); // odd width exercises the lane tail
-    for (float &value : weights.data())
-        value = static_cast<float>(rng.normal(0.0, 1.0));
-
-    for (const std::size_t panel_rows : {1u, 2u, 3u, 5u, 8u, 13u}) {
-        tensor::Matrix inputs(panel_rows + 1, 19);
-        for (float &value : inputs.data())
+    for (const std::size_t neurons : {1u, 2u, 4u, 6u, 7u}) {
+        // odd width exercises the lane tail
+        tensor::Matrix weights(neurons, 19);
+        for (float &value : weights.data())
             value = static_cast<float>(rng.normal(0.0, 1.0));
 
-        std::vector<std::size_t> rows(panel_rows);
-        for (std::size_t i = 0; i < panel_rows; ++i)
-            rows[i] = i + 1; // row 0 inactive
-        tensor::Matrix out(panel_rows + 1, 7);
-        out.at(0, 0) = 42.f; // must remain untouched
-        weights.matvecPanel(inputs, rows, out, false);
+        for (const std::size_t panel_rows : {1u, 2u, 3u, 5u, 8u, 13u}) {
+            tensor::Matrix inputs(panel_rows + 1, 19);
+            for (float &value : inputs.data())
+                value = static_cast<float>(rng.normal(0.0, 1.0));
 
-        for (const std::size_t b : rows)
-            for (std::size_t r = 0; r < 7; ++r)
-                EXPECT_EQ(out.at(b, r),
-                          tensor::dotLanes(weights.row(r), inputs.row(b)));
-        EXPECT_EQ(out.at(0, 0), 42.f);
+            std::vector<std::size_t> rows(panel_rows);
+            for (std::size_t i = 0; i < panel_rows; ++i)
+                rows[i] = i + 1; // row 0 inactive
+            tensor::Matrix out(panel_rows + 1, neurons);
+            out.at(0, 0) = 42.f; // must remain untouched
+            weights.matvecPanel(inputs, rows, out, false);
 
-        // Accumulate pass adds on top.
-        weights.matvecPanel(inputs, rows, out, true);
-        for (const std::size_t b : rows)
-            for (std::size_t r = 0; r < 7; ++r) {
-                const float once =
-                    tensor::dotLanes(weights.row(r), inputs.row(b));
-                EXPECT_EQ(out.at(b, r), once + once);
-            }
+            for (const std::size_t b : rows)
+                for (std::size_t r = 0; r < neurons; ++r)
+                    EXPECT_EQ(out.at(b, r), tensor::dotLanes(weights.row(r),
+                                                             inputs.row(b)))
+                        << neurons << " neurons, row " << b;
+            EXPECT_EQ(out.at(0, 0), 42.f);
+
+            // Accumulate pass adds on top.
+            weights.matvecPanel(inputs, rows, out, true);
+            for (const std::size_t b : rows)
+                for (std::size_t r = 0; r < neurons; ++r) {
+                    const float once =
+                        tensor::dotLanes(weights.row(r), inputs.row(b));
+                    EXPECT_EQ(out.at(b, r), once + once);
+                }
+        }
     }
 }
 
@@ -264,6 +269,70 @@ TEST(BatchMemoTest, MatchesSerialEngineOutputsAndStats)
             EXPECT_EQ(stats.gateReuseFraction(gate),
                       serial.stats().gateReuseFraction(gate))
                 << "gate " << gate;
+    }
+
+    // The same contract at small-chunk geometries on the thread pool:
+    // a hidden size that is a multiple of neither the commit tile (3)
+    // nor the probe block (32), panels narrower than the 8-slot decide
+    // step, and a few short sequences that leave sparse panels behind.
+    // Low theta makes most neuron triples cover their panel (tiled
+    // commit); high theta leaves partial rows (per-row commit).
+    nn::RnnConfig config = smallConfig(nn::CellType::Gru, false);
+    config.hiddenSize = 37;
+    const auto network = buildNetwork(config);
+    nn::BinarizedNetwork bnn(*network);
+    Rng rng(91);
+    std::vector<nn::Sequence> sequences(11);
+    for (std::size_t b = 0; b < sequences.size(); ++b) {
+        sequences[b].assign(b % 4 == 3 ? 4 : 10,
+                            std::vector<float>(config.inputSize));
+        for (auto &frame : sequences[b])
+            rng.fillNormal(frame, 0.0, 1.0);
+    }
+    ThreadPool pool(3);
+    for (const double theta : {0.08, 0.5}) {
+        memo::MemoOptions options;
+        options.predictor = memo::PredictorKind::Bnn;
+        options.theta = theta;
+
+        memo::MemoEngine serial(*network, &bnn, options);
+        std::vector<nn::Sequence> serial_outputs;
+        std::vector<double> serial_reuse;
+        for (const auto &sequence : sequences) {
+            const memo::ReuseStats before = serial.stats();
+            serial_outputs.push_back(network->forward(sequence, serial));
+            const std::uint64_t total =
+                serial.stats().totalSlots() - before.totalSlots();
+            const std::uint64_t reused =
+                serial.stats().totalReused() - before.totalReused();
+            serial_reuse.push_back(static_cast<double>(reused) /
+                                   static_cast<double>(total));
+        }
+
+        for (const std::size_t chunk : {1u, 3u, 4u, 5u, 8u, 64u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "theta " << theta << " chunk " << chunk);
+            nn::BatchForwardOptions forward_options;
+            forward_options.pool = &pool;
+            forward_options.chunkSize = chunk;
+            memo::BatchMemoEngine batched(*network, &bnn, options);
+            const auto batch_outputs =
+                network->forwardBatch(sequences, batched, forward_options);
+
+            for (std::size_t b = 0; b < sequences.size(); ++b) {
+                expectBitwiseEqual(serial_outputs[b], batch_outputs[b], b);
+                EXPECT_EQ(batched.slotReuseFraction(b), serial_reuse[b])
+                    << "slot " << b;
+            }
+            const memo::ReuseStats stats = batched.stats();
+            EXPECT_EQ(stats.totalSlots(), serial.stats().totalSlots());
+            EXPECT_EQ(stats.totalReused(), serial.stats().totalReused());
+            for (std::size_t gate = 0;
+                 gate < network->gateInstances().size(); ++gate)
+                EXPECT_EQ(stats.gateReuseFraction(gate),
+                          serial.stats().gateReuseFraction(gate))
+                    << "gate " << gate;
+        }
     }
 }
 

@@ -96,6 +96,54 @@ TEST(VectorOpsTest, RelativeDifferenceConventions)
     EXPECT_DOUBLE_EQ(relativeDifference(5.0, 5.0), 0.0);
 }
 
+TEST(VectorOpsTest, TileAndRowKernelsMatchDotLanesBitwise)
+{
+    // Every tile shape the panel kernels can take must reproduce the
+    // single-pair kernel bit for bit: 1-3 weight rows x 1-9 input rows
+    // (full and partial 4-row tiles), lengths around the 8-lane step,
+    // and input rows starting one float past an aligned base.
+    Rng rng(29);
+    for (const std::size_t n : {1u, 7u, 8u, 9u, 19u, 161u, 800u}) {
+        std::vector<std::vector<float>> weights;
+        for (std::size_t k = 0; k < kTileWeightRows; ++k)
+            weights.push_back(randomVector(rng, n));
+        std::vector<std::vector<float>> inputs;
+        for (std::size_t r = 0; r < 9; ++r)
+            inputs.push_back(randomVector(rng, n + 1));
+
+        for (std::size_t w_count = 1; w_count <= kTileWeightRows;
+             ++w_count) {
+            for (std::size_t x_count = 1; x_count <= inputs.size();
+                 ++x_count) {
+                SCOPED_TRACE(::testing::Message()
+                             << "n " << n << " tile " << w_count << "x"
+                             << x_count);
+                std::vector<const float *> ws;
+                for (std::size_t k = 0; k < w_count; ++k)
+                    ws.push_back(weights[k].data());
+                std::vector<const float *> xs;
+                for (std::size_t r = 0; r < x_count; ++r)
+                    xs.push_back(inputs[r].data() + 1);
+
+                std::vector<float> tile(w_count * x_count);
+                dotLanesTile(ws, xs, n, tile);
+                std::vector<float> rows(x_count);
+                for (std::size_t k = 0; k < w_count; ++k) {
+                    dotLanesRows(weights[k], xs, rows);
+                    for (std::size_t r = 0; r < x_count; ++r) {
+                        const float expected =
+                            dotLanes(weights[k], {xs[r], n});
+                        EXPECT_EQ(tile[k * x_count + r], expected)
+                            << "weight " << k << " input " << r;
+                        EXPECT_EQ(rows[r], expected)
+                            << "weight " << k << " input " << r;
+                    }
+                }
+            }
+        }
+    }
+}
+
 // -------------------------------------------------------------- matrix
 
 TEST(MatrixTest, ShapeAndIndexing)
