@@ -511,7 +511,7 @@ main(int argc, char **argv)
                 "  \"acceptance\": { \"fairness_bar\": 0.85, "
                 "\"fairness_at_lowest_load\": %.3f, \"accounted\": %s, "
                 "\"identity\": \"fleet outputs bitwise identical to "
-                "single-model serve::Server (tests/fleet_test.cc)\" "
+                "the serial MemoEngine (tests/fleet_test.cc)\" "
                 "}\n}\n",
                 low_load_fairness, accounted ? "true" : "false");
             std::fclose(json);

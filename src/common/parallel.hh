@@ -50,7 +50,7 @@ class ThreadPool
      * still draining. This is asserted (loudly, in every build type)
      * instead of left undefined; callers that need parallelism inside a
      * parallel region must use a separate pool, which is exactly why
-     * serve::Server/FleetServer keep a private pool instead of sharing
+     * serve::FleetServer keeps a private pool instead of sharing
      * ThreadPool::global(). Single-chunk fallbacks (count or pool of 1,
      * the common case of nested parallelFor on a small host) run the
      * body inline and are exempt: they never touch the job slot.

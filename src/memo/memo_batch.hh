@@ -29,10 +29,11 @@
 ///  - **Closed batch** (RnnNetwork::forwardBatch): beginBatch() cold-starts
 ///    every slot, the whole batch runs to completion, stats() reduces the
 ///    per-slot counters.
-///  - **Serving** (serve::Server): beginBatch() sizes the table to the slot
-///    pool once, then admitSlot()/resetSlot() recycle individual slots as
-///    sequences complete and new requests are admitted mid-flight, each
-///    with its own reuse threshold (setSlotTheta). A recycled slot starts
+///  - **Serving** (serve::FleetServer): beginBatch() sizes the table to
+///    the slot pool once, then admitSlot()/resetSlot() recycle
+///    individual slots as sequences complete and new requests are
+///    admitted mid-flight, each with its own reuse threshold
+///    (setSlotTheta). A recycled slot starts
 ///    as cold as a fresh beginBatch — no memo state crosses tenants.
 
 #ifndef NLFM_MEMO_MEMO_BATCH_HH

@@ -45,9 +45,14 @@ class File
     File(const File &) = delete;
     File &operator=(const File &) = delete;
 
+    // Zero-byte transfers are skipped: an empty weight block (e.g. no
+    // peepholes) has data() == nullptr, which fwrite/fread must not
+    // see even for 0 bytes.
     void
     write(const void *data, std::size_t bytes)
     {
+        if (bytes == 0)
+            return;
         if (std::fwrite(data, 1, bytes, handle_) != bytes)
             nlfm_fatal("short write to ", path_);
     }
@@ -55,6 +60,8 @@ class File
     void
     read(void *data, std::size_t bytes)
     {
+        if (bytes == 0)
+            return;
         if (std::fread(data, 1, bytes, handle_) != bytes)
             nlfm_fatal("short read from ", path_,
                        " (truncated or corrupt file)");

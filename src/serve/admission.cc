@@ -10,6 +10,9 @@ namespace nlfm::serve
 namespace
 {
 
+/// Prefix of every error message a client sees.
+constexpr const char *kServer = "serve::FleetServer";
+
 double
 millis(Clock::duration d)
 {
@@ -77,8 +80,7 @@ Admission::attachStats(ServingStats &aggregate,
 {
     nlfm_assert(aggregate_ == nullptr,
                 "Admission::attachStats called twice");
-    nlfm_assert(per_model.empty() ||
-                    per_model.size() == models_.size(),
+    nlfm_assert(per_model.size() == models_.size(),
                 "attachStats per-model sink count != model count");
     aggregate_ = &aggregate;
     modelStats_ = std::move(per_model);
@@ -140,9 +142,9 @@ Admission::submit(std::size_t model, Request request)
         if (frame.size() != info.inputWidth) {
             item.promise.set_exception(std::make_exception_ptr(
                 std::invalid_argument(
-                    config_.server + ": request frame width " +
-                    std::to_string(frame.size()) + " != " +
-                    info.inputLabel + " " +
+                    std::string(kServer) + ": request frame width " +
+                    std::to_string(frame.size()) + " != model \"" +
+                    info.name + "\" input " +
                     std::to_string(info.inputWidth))));
             return future;
         }
@@ -174,7 +176,7 @@ Admission::submit(std::size_t model, Request request)
         // of leaving a broken promise. (push only consumes the item on
         // success, so the promise is still ours to fail.)
         item.promise.set_exception(std::make_exception_ptr(
-            std::runtime_error(config_.server + " stopped")));
+            std::runtime_error(std::string(kServer) + " stopped")));
         finishOne();
         return future;
     }
@@ -259,8 +261,7 @@ Admission::complete(std::size_t model, std::size_t slot,
                 "serve::Admission: attachStats() must be called "
                 "before completions");
     aggregate_->record(response);
-    if (!modelStats_.empty())
-        modelStats_[model]->record(response);
+    modelStats_[model]->record(response);
     if (telemetry_ != nullptr) {
         telemetry_->onComplete(model, response);
         // Per-request lifecycle spans, from the SAME timestamps the
@@ -357,13 +358,12 @@ Admission::shed(QueuedRequest &&item, std::size_t model,
     nlfm_assert(aggregate_ != nullptr,
                 "serve::Admission: attachStats() must be called "
                 "before sheds can be recorded");
-    if (!modelStats_.empty())
-        modelStats_[model]->recordShed(reason);
+    modelStats_[model]->recordShed(reason);
     aggregate_->recordShed(reason);
     if (telemetry_ != nullptr)
         telemetry_->onShed(model, reason);
     item.promise.set_exception(std::make_exception_ptr(ShedError(
-        config_.server +
+        std::string(kServer) +
         (reason == ShedReason::Expired
              ? ": deadline expired before admission (shed)"
              : ": predicted completion past the deadline (shed)"))));

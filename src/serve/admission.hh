@@ -1,15 +1,14 @@
 /// @file
-/// Deadline-aware admission control shared by Server and FleetServer.
+/// Deadline-aware admission control of the FleetServer (and so of the
+/// single-model Server, a one-model fleet).
 ///
-/// Both serving front ends do the same work between a client's
-/// enqueue() and the driver's admit-into-slot: validate the request on
-/// the client's thread, assign it an id, queue it with backpressure,
-/// wake an idle driver, and — on the driver side — pop requests in
-/// policy order, shedding the ones that cannot produce goodput, then
-/// assemble/record/deliver each finished slot's Response. PR 4 left
-/// that logic duplicated in both servers; Admission owns it once,
-/// keyed by model id (the single-model Server is the one-model special
-/// case).
+/// Admission owns the work between a client's enqueue() and the
+/// driver's admit-into-slot: validate the request on the client's
+/// thread, assign it an id, queue it with backpressure, wake an idle
+/// driver, and — on the driver side — pop requests in policy order,
+/// shedding the ones that cannot produce goodput, then
+/// assemble/record/deliver each finished slot's Response. All of it is
+/// keyed by model id.
 ///
 /// Policies (all opt-in; the defaults reproduce the PR 4 FIFO
 /// behavior, so fleet/server outputs and stats are unchanged unless a
@@ -70,7 +69,7 @@
 #include <vector>
 
 #include "serve/request_queue.hh"
-#include "serve/scheduler.hh"
+#include "serve/fleet_scheduler.hh"
 #include "serve/session_store.hh"
 #include "serve/stats.hh"
 #include "serve/telemetry.hh"
@@ -88,11 +87,9 @@ servedTheta(const Request &request)
     return request.theta < 0.0 ? 0.0 : request.theta;
 }
 
-/// Admission-wide policy knobs (built from ServerOptions/FleetOptions).
+/// Admission-wide policy knobs (built from FleetOptions).
 struct AdmissionConfig
 {
-    /// Error-message prefix, e.g. "serve::Server".
-    std::string server;
     /// Per-model queue capacity (enqueue backpressure bound).
     std::size_t queueCapacity = 64;
     /// Slot-pool width — the drain-rate denominator of the predictive
@@ -101,8 +98,8 @@ struct AdmissionConfig
     QueuePolicy queuePolicy = QueuePolicy::Fifo;
     bool shedExpired = false;
     bool shedPredicted = false;
-    /// Max warm-start sessions kept PER MODEL (ServerOptions/
-    /// FleetOptions::sessionCapacity); 0 disables the session store
+    /// Max warm-start sessions kept PER MODEL
+    /// (FleetOptions::sessionCapacity); 0 disables the session store
     /// entirely (session-tagged requests are served cold).
     std::size_t sessionCapacity = 0;
 };
@@ -110,9 +107,8 @@ struct AdmissionConfig
 /// One model's admission-side description.
 struct AdmissionModel
 {
-    /// Error label for width mismatches, e.g. "network input" or
-    /// "model \"imdb\" input".
-    std::string inputLabel;
+    /// Registry name; labels width-mismatch errors.
+    std::string name;
     std::size_t inputWidth = 0;
     /// Calibrated per-step service cost in milliseconds (saturated);
     /// scales the predictive-shedding estimate. 0 = uncalibrated
@@ -145,12 +141,10 @@ class Admission
     Admission(AdmissionConfig config,
               std::vector<AdmissionModel> models);
 
-    /// Late-bind the accounting sinks. @p per_model is either empty
-    /// (no per-model breakdown — the single-model Server, where the
-    /// aggregate IS the model) or one sink per model. Must be called
-    /// exactly once, before any submission.
+    /// Late-bind the accounting sinks: the aggregate plus one sink per
+    /// model. Must be called exactly once, before any submission.
     void attachStats(ServingStats &aggregate,
-                     std::vector<ServingStats *> per_model = {});
+                     std::vector<ServingStats *> per_model);
 
     /// Late-bind the telemetry bundle (nullptr = telemetry off, the
     /// default). When attached, the admission hooks — the single choke

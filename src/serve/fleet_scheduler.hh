@@ -1,14 +1,16 @@
 /// @file
 /// Shared-slot-pool scheduler of the multi-model fleet driver.
 ///
-/// Where the single-model Scheduler maps one queue onto one slot pool,
-/// the FleetScheduler partitions ONE pool of slots across N resident
-/// models dynamically: any slot can host any model's request, a slot
-/// returns to the shared pool the moment its sequence completes, and the
-/// next admission may hand it to a different model. There is no static
-/// per-model partition — a model with an empty queue consumes zero
-/// slots, and a backlogged model can absorb the whole pool when its
-/// peers are idle.
+/// The FleetScheduler owns the slot-pool bookkeeping of the serving
+/// driver — which slots are free, which request occupies each active
+/// slot, and how far into its sequence each slot has stepped — and
+/// partitions ONE pool of slots across N resident models dynamically
+/// (N = 1 for a single-model serve::Server): any slot can host any
+/// model's request, a slot returns to the shared pool the moment its
+/// sequence completes, and the next admission may hand it to a
+/// different model. There is no static per-model partition — a model
+/// with an empty queue consumes zero slots, and a backlogged model can
+/// absorb the whole pool when its peers are idle.
 ///
 /// Admission fairness is deficit round robin (DRR) over the models with
 /// pending requests: each visit grants a model its weight as credit, one
@@ -30,10 +32,10 @@
 /// calibrated service cost instead, making weights proportional to
 /// machine time; the flat-credit default stays bit-identical to PR 4.
 ///
-/// Like the single-model Scheduler, admission picks the lowest-numbered
-/// free slot and all choices are deterministic given the sequence of
-/// (pickModel, admit, release) calls. Not thread-safe: driven only by
-/// the fleet server's driver loop.
+/// Admission picks the lowest-numbered free slot, and all choices are
+/// deterministic given the sequence of (pickModel, admit, release)
+/// calls. Not thread-safe: driven only by the fleet server's driver
+/// loop.
 
 #ifndef NLFM_SERVE_FLEET_SCHEDULER_HH
 #define NLFM_SERVE_FLEET_SCHEDULER_HH
@@ -41,10 +43,27 @@
 #include <span>
 #include <vector>
 
-#include "serve/scheduler.hh"
+#include "serve/request_queue.hh"
 
 namespace nlfm::serve
 {
+
+/// Occupancy record of one active slot.
+struct SlotState
+{
+    bool active = false;
+    std::size_t model = 0;         ///< owning model
+    std::uint64_t id = 0;          ///< request id
+    Request request;               ///< the admitted request
+    std::promise<Response> promise;
+    std::size_t step = 0;          ///< next input step to process
+    /// Session warm-start restored into this slot at admission (flows
+    /// into Response::warmResumed at completion).
+    bool warmStart = false;
+    nn::Sequence output;           ///< per-step outputs collected so far
+    Clock::time_point enqueueTime{};
+    Clock::time_point admitTime{};
+};
 
 /// Slot pool shared by N models, with weighted-fair admission.
 class FleetScheduler

@@ -1,9 +1,10 @@
 /// @file
 /// Multi-model fleet host: several resident models, one slot pool.
 ///
-/// A FleetServer generalizes the single-model Server to N resident
-/// models (or theta-tuned variants of one network) sharing one slot
-/// budget and one thread budget. Each registered model keeps its own
+/// A FleetServer hosts N resident models (or theta-tuned variants of
+/// one network) sharing one slot budget and one thread budget; the
+/// single-model serve::Server is a FleetServer with one registered
+/// model. Each registered model keeps its own
 /// NetworkStepper panels and slot-keyed memo engine — numerical state
 /// never crosses models — but the SLOTS are a single shared pool: a
 /// slot freed by one model's completed sequence is reclaimed into the
@@ -16,14 +17,18 @@
 /// thread ticks EVERY model's active panel per step: the per-model
 /// panel chunks of a tick are flattened into one task list and spread
 /// over the single optional ThreadPool, so the thread budget is shared
-/// exactly like the slot budget.
+/// exactly like the slot budget. The pool is private because
+/// ThreadPool::run is not reentrant — sharing one pool between the
+/// driver and outside callers would interleave two jobs on one pool
+/// state.
 ///
-/// Determinism: each request's output is bitwise identical to the same
-/// request served by a single-model serve::Server (and therefore to
-/// RnnNetwork::forward at the same theta) — per-model state is slot-
-/// keyed and per-row results never depend on panel composition, so
-/// which models share the fleet, which slot a request lands in, and
-/// the worker count all cancel out. Pinned by tests/fleet_test.cc.
+/// Determinism: each request's output is bitwise identical to
+/// RnnNetwork::forward with the serial MemoEngine at the request's
+/// effective theta (its own, or the model's default) — per-model state
+/// is slot-keyed and per-row results never depend on panel
+/// composition, so which models share the fleet, which slot a request
+/// lands in, and the worker count all cancel out. Pinned by
+/// tests/fleet_test.cc.
 ///
 /// Accounting is per model and aggregate: ServingStats per registered
 /// model plus a fleet-wide accumulator, all exposed in one
@@ -53,7 +58,9 @@ struct FleetOptions
 {
     /// Shared slot-pool width: sequences evaluated concurrently per
     /// tick across ALL models. Slots are not partitioned statically —
-    /// an idle model consumes none.
+    /// an idle model consumes none. The panel amortizes each weight-row
+    /// read over the live slots, so larger pools raise throughput until
+    /// the memo tables outgrow cache; see docs/SERVING.md for tuning.
     std::size_t slots = 8;
 
     /// Per-model request-queue capacity; enqueue() blocks (per-model
@@ -65,7 +72,14 @@ struct FleetOptions
     std::size_t workers = 1;
 
     /// Upper bound on slots per worker chunk within a tick, per model
-    /// (same contract and default as ServerOptions::chunkSize).
+    /// (same determinism contract as BatchForwardOptions::chunkSize,
+    /// same default, same cache-line rationale — see that field's
+    /// doc). With workers > 1 the server caps the effective chunk size
+    /// at ceil(slots / workers) so the pool actually engages at small
+    /// pool widths; chunks under 64 slots then share memo-table cache
+    /// lines across workers (benign for correctness, see the
+    /// BatchForwardOptions doc). Outputs are identical for every chunk
+    /// geometry either way.
     std::size_t chunkSize = 64;
 
     /// Admission-time load shedding: reject (fail with ShedError)
@@ -80,9 +94,13 @@ struct FleetOptions
     /// across models is still the DRR scheduler's job.
     QueuePolicy queuePolicy = QueuePolicy::Fifo;
 
-    /// Predictive shedding (see ServerOptions::shedPredicted and the
-    /// serve::Admission header): requires every registered model's
-    /// ModelSpec::calibratedStepCostMs > 0.
+    /// Predictive shedding: at enqueue and again at admission, shed
+    /// (ShedError, counted as StatsSnapshot::shedPredicted) requests
+    /// whose optimistic completion estimate already misses their
+    /// deadline — elapsed queueing + queue-ahead drain at the full
+    /// pool rate + own service at the model's calibrated per-step cost
+    /// (the serve::Admission header derives the formula). Requires
+    /// every registered model's ModelSpec::calibratedStepCostMs > 0.
     bool shedPredicted = false;
 
     /// Charge DRR admissions by calibrated service cost (popped

@@ -113,7 +113,7 @@ class DriverTracer
 
     /// Render the retained spans as Chrome trace-event JSON.
     /// @p model_names labels each span's model track ("model" arg);
-    /// pass {} for a single-model server.
+    /// {} leaves the arg off.
     std::string
     chromeTraceJson(std::span<const std::string> model_names = {}) const;
 

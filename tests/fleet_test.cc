@@ -6,15 +6,17 @@
  *    proportion to registered weights and never starves a backlogged
  *    model.
  *  - Every request served by a fleet produces outputs bitwise identical
- *    to the same request served by a single-model serve::Server (and
- *    therefore to the serial MemoEngine) — sharing the slot pool with
- *    other models is a scheduling change, not a numerical one.
+ *    to the serial MemoEngine at the request's effective theta — sharing
+ *    the slot pool with other models is a scheduling change, not a
+ *    numerical one.
  *  - A slot reclaimed from one model and handed to another starts cold
  *    in both models' engines.
  *  - Skewed load at one model does not starve its neighbor.
  *  - Admission-time load shedding fails expired requests with ShedError
  *    and counts them, per model and aggregate.
  *  - Per-model stats break down the aggregate exactly.
+ *  - A single-model serve::Server admits through the fleet scheduler,
+ *    so its fleet admissions counter matches its completions.
  */
 
 #include <gtest/gtest.h>
@@ -201,9 +203,9 @@ TEST(FleetSchedulerTest, IdleModelYieldsPoolAndDropsCredit)
     EXPECT_EQ(scheduler.pickModel(none), -1);
 }
 
-// ------------------------------------- identity vs single-model serve
+// ------------------------------------------- identity vs serial engine
 
-TEST(FleetTest, OutputsBitwiseIdenticalToSingleModelServers)
+TEST(FleetTest, OutputsBitwiseIdenticalToSerialEngine)
 {
     TestModel lstm(lstmConfig(), 31, 7, 101);
     TestModel gru(gruConfig(), 37, 7, 103);
@@ -217,40 +219,6 @@ TEST(FleetTest, OutputsBitwiseIdenticalToSingleModelServers)
 
     // Per-request thetas: defaults (-1) and overrides, mixed in panels.
     const double thetas[] = {-1.0, 0.01, 0.15, -1.0, 0.02, -1.0, 0.15};
-
-    // Reference: each model behind its own single-model Server.
-    std::vector<nn::Sequence> ref_lstm;
-    std::vector<nn::Sequence> ref_gru;
-    {
-        serve::ServerOptions options;
-        options.slots = 3;
-        options.memo = memo_lstm;
-        serve::Server server(lstm.network, &lstm.bnn, options);
-        std::vector<std::future<serve::Response>> futures;
-        for (std::size_t b = 0; b < lstm.sequences.size(); ++b) {
-            serve::Request request;
-            request.input = lstm.sequences[b];
-            request.theta = thetas[b];
-            futures.push_back(server.enqueue(std::move(request)));
-        }
-        for (auto &future : futures)
-            ref_lstm.push_back(serve::Server::collect(future).output);
-    }
-    {
-        serve::ServerOptions options;
-        options.slots = 3;
-        options.memo = memo_gru;
-        serve::Server server(gru.network, &gru.bnn, options);
-        std::vector<std::future<serve::Response>> futures;
-        for (std::size_t b = 0; b < gru.sequences.size(); ++b) {
-            serve::Request request;
-            request.input = gru.sequences[b];
-            request.theta = thetas[b];
-            futures.push_back(server.enqueue(std::move(request)));
-        }
-        for (auto &future : futures)
-            ref_gru.push_back(serve::Server::collect(future).output);
-    }
 
     // Fleet: both models share a 3-slot pool, requests interleaved so
     // mixed-model panels are unavoidable.
@@ -292,9 +260,6 @@ TEST(FleetTest, OutputsBitwiseIdenticalToSingleModelServers)
             thetas[b] < 0.0 ? memo_lstm.theta : thetas[b];
         EXPECT_DOUBLE_EQ(response.theta, expected_theta)
             << "lstm request " << b;
-        expectSequenceIdentical(ref_lstm[b], response.output,
-                                "fleet vs single server, lstm request " +
-                                    std::to_string(b));
         expectSequenceIdentical(
             serialReference(lstm.network, lstm.bnn, lstm.sequences[b],
                             expected_theta),
@@ -308,9 +273,11 @@ TEST(FleetTest, OutputsBitwiseIdenticalToSingleModelServers)
             thetas[b] < 0.0 ? memo_gru.theta : thetas[b];
         EXPECT_DOUBLE_EQ(response.theta, expected_theta)
             << "gru request " << b;
-        expectSequenceIdentical(ref_gru[b], response.output,
-                                "fleet vs single server, gru request " +
-                                    std::to_string(b));
+        expectSequenceIdentical(
+            serialReference(gru.network, gru.bnn, gru.sequences[b],
+                            expected_theta),
+            response.output,
+            "fleet vs serial, gru request " + std::to_string(b));
     }
 
     // Per-model stats break the aggregate down exactly.
@@ -625,6 +592,43 @@ TEST(FleetTest, EdgeRequestsFailTheirOwnFuturesOnly)
     late.input = lstm.sequences[1];
     auto late_future = fleet.enqueue(0, std::move(late));
     EXPECT_THROW(late_future.get(), std::runtime_error);
+}
+
+// ------------------------------------------- single-model Server
+
+TEST(FleetTest, SingleModelServerCountsFleetAdmissions)
+{
+    // A serve::Server is a one-model fleet named "default": its
+    // admissions go through the fleet scheduler, so the fleet admissions
+    // counter sees every one of them.
+    TestModel lstm(lstmConfig(), 79, 9, 157);
+
+    serve::ServerOptions options;
+    options.slots = 3;
+    options.memo.predictor = memo::PredictorKind::Bnn;
+    options.telemetry.metrics = true;
+    serve::Server server(lstm.network, &lstm.bnn, options);
+
+    std::vector<std::future<serve::Response>> futures;
+    for (const auto &sequence : lstm.sequences) {
+        serve::Request request;
+        request.input = sequence;
+        futures.push_back(server.enqueue(std::move(request)));
+    }
+    for (auto &future : futures)
+        serve::Server::collect(future);
+    server.stop();
+
+    const serve::StatsSnapshot stats = server.stats();
+    EXPECT_EQ(stats.completed, lstm.sequences.size());
+    ASSERT_NE(server.telemetry(), nullptr);
+    EXPECT_EQ(server.telemetry()
+                  ->registry()
+                  .counter("nlfm_serve_fleet_admissions_total"
+                           "{model=\"default\"}",
+                           "")
+                  .value(),
+              stats.completed);
 }
 
 } // namespace

@@ -347,12 +347,11 @@ serve::Admission
 makeAdmission(double default_theta)
 {
     serve::AdmissionConfig config;
-    config.server = "theta_controller_test";
     config.queueCapacity = 4;
     config.slots = 2;
 
     serve::AdmissionModel model;
-    model.inputLabel = "test input";
+    model.name = "test";
     model.inputWidth = 3;
     model.defaultTheta = default_theta;
 
@@ -419,8 +418,8 @@ TEST(AdmissionThetaFloor, AttachStatsTwicePanics)
         {
             serve::Admission admission = makeAdmission(0.05);
             serve::ServingStats stats;
-            admission.attachStats(stats);
-            admission.attachStats(stats);
+            admission.attachStats(stats, {&stats});
+            admission.attachStats(stats, {&stats});
         },
         "attachStats");
 }
