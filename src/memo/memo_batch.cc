@@ -24,17 +24,17 @@ constexpr std::size_t kProbeNeuronBlock = 32;
 #if defined(__x86_64__)
 
 /**
- * AVX-512 form of the Phase-1 decision loop for the default engine
- * configuration (fixed-point CMP, throttling on) over a dense slot
- * range: eight slots per step through the division-free comparison of
- * memo_decision.hh —
+ * AVX-512 form of the Phase-1 decision loop with throttling on, over a
+ * dense slot range: eight slots per step through the division-free
+ * comparison of memo_decision.hh, each slot against its own theta —
  *
  *     reuse ⟺ valid && (diff << 16) < (theta - prev + 1) * mag
  *             (with the yb_t == 0 branch folded in as diff == 0 &&
  *              prev <= theta)
  *
  * — integer arithmetic throughout, so decisions are bit-identical to
- * bnnReuseDecision (the caller guards against (theta+1)*mag overflow).
+ * bnnReuseDecision (the caller guards against (theta+1)*mag overflow
+ * with the panel's largest theta).
  * A final step of fewer than eight slots runs the same comparison over
  * masked loads (masked-out lanes read as invalid and are dropped from
  * both outcomes), so panels narrower than eight slots — a small
@@ -56,11 +56,11 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
                 const std::uint8_t *valid_row, std::int64_t *draw_row,
                 const float *y_row, std::uint64_t *reused_row,
                 float *const *out_rows, std::size_t n,
-                std::int64_t theta_raw, std::uint32_t *miss,
+                const std::int64_t *theta_raw, std::uint32_t *miss,
                 std::uint8_t *miss_blocks)
 {
     std::size_t miss_count = 0;
-    const __m512i theta1 = _mm512_set1_epi64(theta_raw + 1);
+    const __m512i one = _mm512_set1_epi64(1);
     const __m512i zero = _mm512_setzero_si512();
     const __m512i lane_idx =
         _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 0, 0, 0, 0, 0, 0, 0, 0);
@@ -81,6 +81,8 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
             zero);
         const __m512i prev =
             _mm512_maskz_loadu_epi64(lanes, draw_row + e0 + i);
+        const __m512i theta1 = _mm512_add_epi64(
+            _mm512_maskz_loadu_epi64(lanes, theta_raw + e0 + i), one);
         const __m512i diff =
             _mm512_maskz_abs_epi64(0xff, _mm512_sub_epi64(yb, ym));
         const __m512i mag = _mm512_maskz_abs_epi64(0xff, yb);
@@ -176,31 +178,13 @@ commitRowAvx512(const std::uint8_t *miss_blocks, std::size_t slots,
 BatchMemoEngine::BatchMemoEngine(const nn::RnnNetwork &network,
                                  nn::BinarizedNetwork *bnn,
                                  const MemoOptions &options)
-    : network_(network), bnn_(bnn), options_(options),
-      thetaQ_(Q16::fromDouble(options.theta))
+    : network_(network), bnn_(bnn), options_(options)
 {
     nlfm_assert(options.theta >= 0.0, "negative threshold");
     nlfm_assert(options.predictor != PredictorKind::Bnn || bnn != nullptr,
                 "BNN predictor requires a binarized mirror network");
     nlfm_assert(!options.recordTrace,
                 "trace recording is a serial-engine feature");
-}
-
-void
-BatchMemoEngine::setTheta(double theta)
-{
-    nlfm_assert(theta >= 0.0, "negative threshold");
-    options_.theta = theta;
-    thetaQ_ = Q16::fromDouble(theta);
-    // The default changed: every slot follows it (per-slot overrides are
-    // per-tenant state and do not survive a global re-threshold).
-    if (!slotThetaFp_.empty()) {
-        std::fill(slotThetaRaw_.begin(), slotThetaRaw_.end(),
-                  thetaQ_.raw());
-        std::fill(slotThetaFp_.begin(), slotThetaFp_.end(),
-                  options_.theta);
-        nonDefaultThetaSlots_ = 0;
-    }
 }
 
 void
@@ -238,8 +222,7 @@ BatchMemoEngine::exportSlot(std::size_t slot, SlotMemoState &out) const
     out.cachedOutput.resize(neurons);
     out.valid.resize(neurons);
     out.cachedBnn.resize(bnn ? neurons : 0);
-    out.deltaRaw.resize(bnn && options_.fixedPoint ? neurons : 0);
-    out.deltaFp.resize(bnn && !options_.fixedPoint ? neurons : 0);
+    out.deltaRaw.resize(bnn ? neurons : 0);
     // Strided gather: entry n of the snapshot is table column slot of
     // neuron n. One pass per allocated array keeps each table's access
     // pattern a simple fixed-stride walk.
@@ -252,13 +235,8 @@ BatchMemoEngine::exportSlot(std::size_t slot, SlotMemoState &out) const
         return;
     for (std::size_t n = 0; n < neurons; ++n)
         out.cachedBnn[n] = cachedBnn_[n * slotStride_ + slot];
-    if (options_.fixedPoint) {
-        for (std::size_t n = 0; n < neurons; ++n)
-            out.deltaRaw[n] = deltaRaw_[n * slotStride_ + slot];
-    } else {
-        for (std::size_t n = 0; n < neurons; ++n)
-            out.deltaFp[n] = deltaFp_[n * slotStride_ + slot];
-    }
+    for (std::size_t n = 0; n < neurons; ++n)
+        out.deltaRaw[n] = deltaRaw_[n * slotStride_ + slot];
 }
 
 void
@@ -271,15 +249,10 @@ BatchMemoEngine::restoreSlot(std::size_t slot, const SlotMemoState &state)
                     state.valid.size() == neurons,
                 "restoreSlot: snapshot neuron count mismatch (session "
                 "state from a different network?)");
-    nlfm_assert(state.cachedBnn.size() == (bnn ? neurons : 0),
+    nlfm_assert(state.cachedBnn.size() == (bnn ? neurons : 0) &&
+                    state.deltaRaw.size() == (bnn ? neurons : 0),
                 "restoreSlot: snapshot predictor mismatch (BNN tables "
                 "vs this engine's configuration)");
-    nlfm_assert(state.deltaRaw.size() ==
-                        (bnn && options_.fixedPoint ? neurons : 0) &&
-                    state.deltaFp.size() ==
-                        (bnn && !options_.fixedPoint ? neurons : 0),
-                "restoreSlot: snapshot delta representation mismatch "
-                "(fixedPoint configuration differs)");
     for (std::size_t n = 0; n < neurons; ++n) {
         const std::size_t e = n * slotStride_ + slot;
         cachedOutput_[e] = state.cachedOutput[n];
@@ -289,13 +262,8 @@ BatchMemoEngine::restoreSlot(std::size_t slot, const SlotMemoState &state)
         return;
     for (std::size_t n = 0; n < neurons; ++n)
         cachedBnn_[n * slotStride_ + slot] = state.cachedBnn[n];
-    if (options_.fixedPoint) {
-        for (std::size_t n = 0; n < neurons; ++n)
-            deltaRaw_[n * slotStride_ + slot] = state.deltaRaw[n];
-    } else {
-        for (std::size_t n = 0; n < neurons; ++n)
-            deltaFp_[n * slotStride_ + slot] = state.deltaFp[n];
-    }
+    for (std::size_t n = 0; n < neurons; ++n)
+        deltaRaw_[n * slotStride_ + slot] = state.deltaRaw[n];
 }
 
 void
@@ -303,14 +271,8 @@ BatchMemoEngine::setSlotTheta(std::size_t slot, double theta)
 {
     nlfm_assert(slot < batch_, "setSlotTheta: slot out of range");
     nlfm_assert(theta >= 0.0, "negative threshold");
-    const bool was_default = slotThetaFp_[slot] == options_.theta;
     slotThetaRaw_[slot] = Q16::fromDouble(theta).raw();
     slotThetaFp_[slot] = theta;
-    const bool is_default = theta == options_.theta;
-    if (was_default && !is_default)
-        ++nonDefaultThetaSlots_;
-    else if (!was_default && is_default)
-        --nonDefaultThetaSlots_;
 }
 
 double
@@ -333,25 +295,18 @@ BatchMemoEngine::beginBatch(std::size_t total_sequences)
                             kCacheLineBytes;
     const std::size_t entries = network_.totalNeurons() * slotStride_;
     cachedOutput_.assign(entries, 0.f);
-    // The BNN tables back the BNN predictor only, and options_.
-    // fixedPoint selects exactly one throttling representation at
-    // construction: only the arrays this engine can touch are given
-    // memory.
+    // The BNN tables back the BNN predictor only: an Oracle engine
+    // gives them no memory.
     const bool bnn = options_.predictor == PredictorKind::Bnn;
     cachedBnn_ = {};
     deltaRaw_ = {};
-    deltaFp_ = {};
     if (bnn) {
         cachedBnn_.assign(entries, 0);
-        if (options_.fixedPoint)
-            deltaRaw_.assign(entries, 0);
-        else
-            deltaFp_.assign(entries, 0.0);
+        deltaRaw_.assign(entries, 0);
     }
     valid_.assign(entries, 0);
-    slotThetaRaw_.assign(slotStride_, thetaQ_.raw());
+    slotThetaRaw_.assign(slotStride_, Q16::fromDouble(options_.theta).raw());
     slotThetaFp_.assign(slotStride_, options_.theta);
-    nonDefaultThetaSlots_ = 0;
     const std::size_t gates = network_.gateInstances().size();
     slotReused_.assign(gates * slotStride_, 0);
     slotTotal_.assign(gates * slotStride_, 0);
@@ -439,7 +394,6 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
 {
     nn::BinarizedGate &bgate = bnn_->gate(instance.instanceId);
     const bool throttle = options_.throttle;
-    const bool fixed_point = options_.fixedPoint;
     const std::size_t stat_base = instance.instanceId * slotStride_;
     const std::size_t slots = rows.size();
 
@@ -535,21 +489,12 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     thread_local std::vector<std::int32_t> yb_panel;
     yb_panel.resize(kProbeNeuronBlock * slots);
 
-    // The vector decision path covers the default configuration
-    // (fixed-point CMP + throttling) over a dense slot range whose slots
-    // all sit at ONE theta, with theta small enough that
-    // (theta + 1) * mag cannot leave 64 bits; anything else — including
-    // a forced non-AVX-512 probe ISA, so variant comparisons measure a
-    // genuinely ISA-free fallback — takes the scalar loop, which reads
-    // the per-slot value. Both make bit-identical decisions.
-    //
-    // Uniform means equal ACROSS THE PANEL, not equal to the engine
-    // default: a serving theta controller retunes whole panels away
-    // from the default (every admission inherits the current floor),
-    // and demanding the default here silently pushed every controlled
-    // run onto the scalar loop — reuse went up while throughput went
-    // down. Only genuinely mixed panels (floor mid-transition) pay the
-    // scalar path now.
+    // The vector decision path covers throttled decisions over a dense
+    // slot range, each slot at its own theta, as long as every theta in
+    // the panel is small enough that (theta + 1) * mag cannot leave 64
+    // bits; anything else — including a forced non-AVX-512 probe ISA,
+    // so variant comparisons measure a genuinely ISA-free fallback —
+    // takes the scalar loop. Both make bit-identical decisions.
 #if defined(__x86_64__)
     static const bool has_decide_isa =
         __builtin_cpu_supports("avx512f") > 0 &&
@@ -558,18 +503,11 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
         __builtin_cpu_supports("avx512vl") > 0;
     const bool dense =
         slots > 0 && slot_entry[slots - 1] - slot_entry[0] + 1 == slots;
-    const std::int64_t panel_theta_raw =
-        slots > 0 ? slotThetaRaw_[slot_entry[0]] : thetaQ_.raw();
-    bool uniform_theta = true;
-    if (nonDefaultThetaSlots_ != 0)
-        for (std::size_t i = 1; i < slots && uniform_theta; ++i)
-            uniform_theta =
-                slotThetaRaw_[slot_entry[i]] == panel_theta_raw;
     const bool vector_decide =
-        has_decide_isa && fixed_point && throttle && dense &&
-        uniform_theta &&
+        has_decide_isa && throttle && dense &&
         tensor::bnnActiveIsa() == tensor::BnnIsa::Avx512 &&
-        panel_theta_raw <
+        *std::max_element(slotThetaRaw_.data() + slot_entry[0],
+                          slotThetaRaw_.data() + slot_entry[0] + slots) <
             std::numeric_limits<std::int64_t>::max() /
                 (static_cast<std::int64_t>(2 * width + 2) << 16);
 #endif
@@ -607,10 +545,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
             out_rows[i][n] = y_t;
             y_row[e] = y_t;
             bnn_row[e] = yb_row[i];
-            if (fixed_point)
-                deltaRaw_[entry_base + e] = 0;
-            else
-                deltaFp_[entry_base + e] = 0.0;
+            deltaRaw_[entry_base + e] = 0;
             valid_row[e] = 1;
         }
     };
@@ -653,22 +588,17 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
             // hoisted slot offsets only.
             const std::int32_t *bnn_row = cachedBnn_.data() + entry_base;
             const std::uint8_t *valid_row = valid_.data() + entry_base;
-            std::int64_t *draw_row =
-                fixed_point ? deltaRaw_.data() + entry_base : nullptr;
-            double *dfp_row =
-                fixed_point ? nullptr : deltaFp_.data() + entry_base;
+            std::int64_t *draw_row = deltaRaw_.data() + entry_base;
             const float *y_row = cachedOutput_.data() + entry_base;
             std::uint32_t *row_miss = miss.data() + r * slots;
             std::uint8_t *row_blocks = miss_blocks.data() + r * mask_bytes;
 
 #if defined(__x86_64__)
             if (vector_decide) {
-                // vector_decide implies every slot sits at the same
-                // theta, so the panel-wide value is exact here.
                 miss_count[r] = decideRowAvx512(
                     yb_row, slots, slot_entry[0], bnn_row, valid_row,
                     draw_row, y_row, reused_row, out_rows.data(), n,
-                    panel_theta_raw, row_miss, row_blocks);
+                    slotThetaRaw_.data(), row_miss, row_blocks);
                 continue;
             }
 #endif
@@ -678,25 +608,18 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                 const std::uint32_t e = slot_entry[i];
                 const std::int32_t yb_t = yb_row[i];
 
-                const std::int64_t prev_raw =
-                    fixed_point ? draw_row[e] : 0;
-                const double prev_fp = fixed_point ? 0.0 : dfp_row[e];
                 // Per-slot threshold: slots carry their own theta in
                 // serving mode (identical to the engine default in
                 // closed-batch mode).
                 const BnnDecision decision = bnnReuseDecision(
-                    yb_t, bnn_row[e], valid_row[e] != 0, prev_raw,
-                    prev_fp, throttle, fixed_point, slotThetaFp_[e],
-                    Q16::fromRaw(slotThetaRaw_[e]));
+                    yb_t, bnn_row[e], valid_row[e] != 0, draw_row[e],
+                    throttle, Q16::fromRaw(slotThetaRaw_[e]));
 
                 if (decision.reuse) {
                     // Eq. 14 top: bypass the DPU, emit the cached
                     // output.
                     out_rows[i][n] = y_row[e];
-                    if (fixed_point)
-                        draw_row[e] = decision.deltaRaw;
-                    else
-                        dfp_row[e] = decision.deltaFp;
+                    draw_row[e] = decision.deltaRaw;
                     ++reused_row[e];
                 } else {
                     row_miss[misses++] = static_cast<std::uint32_t>(i);

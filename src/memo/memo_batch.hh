@@ -18,6 +18,12 @@
 /// same weight row as a fully missing one. Other neurons are evaluated
 /// alone over the slots they missed.
 ///
+/// The decide step has one vector form (AVX-512, eight slots per step,
+/// each against its own Q16 theta) and the scalar bnnReuseDecision
+/// loop. The scalar loop runs only for non-dense slot lists, a theta
+/// above the (theta + 1) * mag overflow bound, throttling off, or a
+/// probe ISA other than AVX-512.
+///
 /// Every sequence slot evolves exactly as a serial MemoEngine would evolve
 /// for that sequence alone (shared decision kernels, memo/memo_decision.hh)
 /// — including independent per-sequence throttling state — so outputs and
@@ -71,14 +77,13 @@ struct GatePhaseTimes
 /// engine with the same network and predictor configuration makes that
 /// slot continue deciding exactly where the exporting slot stopped.
 /// Only the arrays the exporting engine's configuration allocates are
-/// filled (Oracle engines carry no yb_m/delta_b; fixedPoint selects one
-/// delta representation), and restoreSlot asserts the same shape.
+/// filled (Oracle engines carry no yb_m/delta_b), and restoreSlot
+/// asserts the same shape.
 struct SlotMemoState
 {
     std::vector<float> cachedOutput;     ///< y_m per neuron
     std::vector<std::int32_t> cachedBnn; ///< yb_m (BNN predictor only)
-    std::vector<std::int64_t> deltaRaw;  ///< delta_b, Q16 raw
-    std::vector<double> deltaFp;         ///< delta_b, double path
+    std::vector<std::int64_t> deltaRaw;  ///< delta_b, Q16 raw (BNN only)
     std::vector<std::uint8_t> valid;
 
     bool empty() const { return valid.empty(); }
@@ -96,8 +101,6 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     BatchMemoEngine(const nn::RnnNetwork &network,
                     nn::BinarizedNetwork *bnn, const MemoOptions &options);
 
-    /// Change the default theta; also resets every slot's threshold to it.
-    void setTheta(double theta);
     double theta() const { return options_.theta; }
     const MemoOptions &options() const { return options_; }
 
@@ -133,14 +136,13 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     /// per-request theta and the reuse counters are admission state,
     /// not session state, so restore deliberately leaves both alone
     /// (slotReuseFraction stays per-request). The snapshot must come
-    /// from an engine with the same network and the same predictor /
-    /// fixedPoint configuration (asserted via array shapes).
+    /// from an engine with the same network and the same predictor
+    /// (asserted via array shapes).
     void restoreSlot(std::size_t slot, const SlotMemoState &state);
 
-    /// Per-request reuse threshold of one slot (Eq. 14's theta). Slots at
-    /// a non-default theta disable the uniform-theta AVX-512 decision
-    /// fast path for panels containing them; decisions stay bit-identical
-    /// either way (the scalar kernel honors the per-slot value).
+    /// Per-request reuse threshold of one slot (Eq. 14's theta). Both
+    /// decision paths, scalar and AVX-512, read it per slot, so a panel
+    /// of mixed thetas decides exactly like one at a single theta.
     void setSlotTheta(std::size_t slot, double theta);
     double slotTheta(std::size_t slot) const;
 
@@ -185,7 +187,6 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     const nn::RnnNetwork &network_;
     nn::BinarizedNetwork *bnn_;
     MemoOptions options_;
-    Q16 thetaQ_;
 
     /// Phase-time sink (setPhaseSink); null = timing off.
     GatePhaseTimes *phaseSink_ = nullptr;
@@ -205,23 +206,17 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     /// table layout).
     std::size_t slotStride_ = 0;
 
-    /// Slots whose theta differs from options_.theta. Non-zero disables
-    /// the uniform-theta vector decision path (scalar decisions read the
-    /// per-slot threshold; both paths are bit-identical).
-    std::size_t nonDefaultThetaSlots_ = 0;
-
     // Memo table, SoA over [neuron][slot]: index flat_neuron *
     // slotStride_ + slot. Distinct slots belong to distinct sequences,
-    // so concurrent chunks touch disjoint entries. Of the two throttling
-    // arrays, only the one options_.fixedPoint selects is allocated —
-    // the other would be ~1/3 of the table footprint, dead.
+    // so concurrent chunks touch disjoint entries.
     CacheAlignedVector<float> cachedOutput_;     ///< y_m
     CacheAlignedVector<std::int32_t> cachedBnn_; ///< yb_m
     CacheAlignedVector<std::int64_t> deltaRaw_;  ///< delta_b (Q16 raw)
-    CacheAlignedVector<double> deltaFp_;         ///< delta_b (double)
     CacheAlignedVector<std::uint8_t> valid_;
 
-    // Per-slot reuse threshold, both representations: index slot.
+    // Per-slot reuse threshold: index slot. The Q16 raw value drives the
+    // BNN decision; the double is the requested value, which the Oracle
+    // decision and slotTheta() read.
     CacheAlignedVector<std::int64_t> slotThetaRaw_;
     CacheAlignedVector<double> slotThetaFp_;
 

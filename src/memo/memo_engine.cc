@@ -22,7 +22,6 @@ MemoEngine::MemoEngine(const nn::RnnNetwork &network,
     cachedOutput_.assign(neurons, 0.f);
     cachedBnn_.assign(neurons, 0);
     deltaRaw_.assign(neurons, 0);
-    deltaFp_.assign(neurons, 0.0);
     valid_.assign(neurons, 0);
     stepIndex_.assign(network.gateInstances().size(), 0);
     stats_ = ReuseStats(network.gateInstances().size());
@@ -41,7 +40,6 @@ MemoEngine::beginSequence()
 {
     std::fill(valid_.begin(), valid_.end(), 0);
     std::fill(deltaRaw_.begin(), deltaRaw_.end(), 0);
-    std::fill(deltaFp_.begin(), deltaFp_.end(), 0.0);
     std::fill(stepIndex_.begin(), stepIndex_.end(), 0);
     if (options_.recordTrace) {
         SequenceTrace trace;
@@ -131,8 +129,6 @@ MemoEngine::evaluateBnn(const nn::GateInstance &instance,
 
     std::atomic<std::uint64_t> hits{0};
     const bool throttle = options_.throttle;
-    const bool fixed_point = options_.fixedPoint;
-    const double theta = options_.theta;
     const Q16 theta_q = thetaQ_;
 
     parallelFor(instance.neurons, [&](std::size_t begin, std::size_t end) {
@@ -148,16 +144,14 @@ MemoEngine::evaluateBnn(const nn::GateInstance &instance,
             const std::size_t flat = instance.neuronBase + n;
             const std::int32_t yb_t = yb[n - begin];
 
-            const BnnDecision decision = bnnReuseDecision(
-                yb_t, cachedBnn_[flat], valid_[flat] != 0,
-                deltaRaw_[flat], deltaFp_[flat], throttle, fixed_point,
-                theta, theta_q);
+            const BnnDecision decision =
+                bnnReuseDecision(yb_t, cachedBnn_[flat], valid_[flat] != 0,
+                                 deltaRaw_[flat], throttle, theta_q);
 
             if (decision.reuse) {
                 // Eq. 14 top: bypass the DPU, emit the cached output.
                 preact[n] = cachedOutput_[flat];
                 deltaRaw_[flat] = decision.deltaRaw;
-                deltaFp_[flat] = decision.deltaFp;
                 ++local_hits;
             } else {
                 // Eqs. 15-17: full evaluation, refresh the whole entry.
@@ -166,7 +160,6 @@ MemoEngine::evaluateBnn(const nn::GateInstance &instance,
                 cachedOutput_[flat] = y_t;
                 cachedBnn_[flat] = yb_t;
                 deltaRaw_[flat] = 0;
-                deltaFp_[flat] = 0.0;
                 valid_[flat] = 1;
             }
         }

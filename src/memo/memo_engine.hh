@@ -15,8 +15,8 @@
  *    neuron (cheap XNOR/popcount), forms the relative BNN difference
  *    eps_b = |yb_t - yb_m|/|yb_t|, accumulates it over consecutive
  *    reuses into delta_b (the throttling mechanism, Eq. 13), and reuses
- *    y_m while delta_b <= theta. The comparison runs in Q16.16
- *    fixed-point, mirroring the FMU's integer/fixed-point CMP unit.
+ *    y_m while delta_b <= theta. delta_b and the comparison are Q16.16
+ *    fixed point only, mirroring the FMU's integer/fixed-point CMP unit.
  */
 
 #ifndef NLFM_MEMO_MEMO_ENGINE_HH
@@ -53,8 +53,6 @@ struct MemoOptions
     bool throttle = true;
     /** Record per-step miss counts for the accelerator model. */
     bool recordTrace = false;
-    /** Evaluate the CMP comparison in Q16.16 (hardware-faithful). */
-    bool fixedPoint = true;
 };
 
 /**
@@ -119,7 +117,6 @@ class MemoEngine : public nn::GateEvaluator
     std::vector<float> cachedOutput_;      ///< y_m
     std::vector<std::int32_t> cachedBnn_;  ///< yb_m
     std::vector<std::int64_t> deltaRaw_;   ///< delta_b (Q16 raw)
-    std::vector<double> deltaFp_;          ///< delta_b (double path)
     std::vector<std::uint8_t> valid_;
 
     // Per-gate-instance processing-step counters for trace recording.

@@ -1,5 +1,6 @@
 #include "serve/admission.hh"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "common/logging.hh"
@@ -148,6 +149,15 @@ Admission::submit(std::size_t model, Request request)
                     std::to_string(info.inputWidth))));
             return future;
         }
+    }
+    // NaN fails both the "< 0 means default" and the ">= 0" test, so it
+    // would otherwise be served at the model default (memoized) or
+    // echoed into Response::theta (exact).
+    if (std::isnan(item.request.theta)) {
+        item.promise.set_exception(std::make_exception_ptr(
+            std::invalid_argument(std::string(kServer) +
+                                  ": request theta is NaN")));
+        return future;
     }
 
     submitted_.fetch_add(1);

@@ -88,7 +88,7 @@ ThetaController::tick(const ThetaSignals &signals)
     const bool pressure =
         sheds > 0 || misses > 0 ||
         (signals.occupancy >= options_.raiseOccupancy &&
-         signals.queueDepth >= options_.raiseQueueDepth);
+         signals.queueDepth > 0);
     const bool slack = sheds == 0 && misses == 0 &&
                        signals.queueDepth == 0 &&
                        signals.occupancy <= options_.lowerOccupancy;

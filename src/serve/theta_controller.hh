@@ -73,10 +73,9 @@ struct ThetaAutopilotOptions
     double controlIntervalMs = 10.0;
 
     /// Raise condition (one rung up): any shed or deadline miss since
-    /// the last decision, OR occupancy >= raiseOccupancy with at least
-    /// raiseQueueDepth requests waiting.
+    /// the last decision, OR occupancy >= raiseOccupancy with a
+    /// non-empty queue.
     double raiseOccupancy = 0.95;
-    std::size_t raiseQueueDepth = 1;
 
     /// Lower condition (one rung down): no sheds, no misses, queue
     /// empty, and occupancy <= lowerOccupancy. The gap up to

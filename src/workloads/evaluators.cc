@@ -136,35 +136,6 @@ WorkloadEvaluator::decode(Split split, nn::GateEvaluator &eval)
     return decodes;
 }
 
-std::vector<metrics::TokenSeq>
-WorkloadEvaluator::decodeBatch(Split split, nn::BatchGateEvaluator &eval,
-                               const nn::BatchForwardOptions &forward)
-{
-    const auto outputs =
-        workload_.network->forwardBatch(inputs(split), eval, forward);
-    std::vector<metrics::TokenSeq> decodes;
-    decodes.reserve(outputs.size());
-    for (const auto &sequence : outputs)
-        decodes.push_back(decodeSequence(sequence));
-    return decodes;
-}
-
-EvalResult
-WorkloadEvaluator::evaluateBatch(const memo::MemoOptions &options,
-                                 Split split,
-                                 const nn::BatchForwardOptions &forward)
-{
-    const auto &reference = baselineDecodes(split);
-    memo::BatchMemoEngine engine(*workload_.network, workload_.bnn.get(),
-                                 options);
-    const auto hypothesis = decodeBatch(split, engine, forward);
-
-    EvalResult result;
-    result.reuse = engine.stats().reuseFraction();
-    result.lossPercent = scoreLoss(reference, hypothesis);
-    return result;
-}
-
 const std::vector<metrics::TokenSeq> &
 WorkloadEvaluator::baselineDecodes(Split split)
 {

@@ -75,23 +75,6 @@ class WorkloadEvaluator
     std::vector<metrics::TokenSeq> decode(Split split,
                                           nn::GateEvaluator &eval);
 
-    /**
-     * Decode the split through the batched path: the whole split is one
-     * batch, panel kernels amortize weight reads and sequence chunks run
-     * on the thread pool. Decodes are bitwise identical to decode() with
-     * the serial counterpart of @p eval.
-     */
-    std::vector<metrics::TokenSeq> decodeBatch(
-        Split split, nn::BatchGateEvaluator &eval,
-        const nn::BatchForwardOptions &forward = {});
-
-    /**
-     * Batched counterpart of evaluate(): identical result, batch
-     * throughput.
-     */
-    EvalResult evaluateBatch(const memo::MemoOptions &options, Split split,
-                             const nn::BatchForwardOptions &forward = {});
-
     const Workload &workload() const { return workload_; }
 
     /**

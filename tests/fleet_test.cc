@@ -15,11 +15,15 @@
  *  - Admission-time load shedding fails expired requests with ShedError
  *    and counts them, per model and aggregate.
  *  - Per-model stats break down the aggregate exactly.
+ *  - A NaN request theta fails its own future at enqueue, on memoized
+ *    and exact models alike.
  *  - A single-model serve::Server admits through the fleet scheduler,
  *    so its fleet admissions counter matches its completions.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "common/rng.hh"
 #include "memo/memo_batch.hh"
@@ -592,6 +596,45 @@ TEST(FleetTest, EdgeRequestsFailTheirOwnFuturesOnly)
     late.input = lstm.sequences[1];
     auto late_future = fleet.enqueue(0, std::move(late));
     EXPECT_THROW(late_future.get(), std::runtime_error);
+}
+
+TEST(FleetTest, NanThetaFailsItsOwnFutureOnMemoizedAndExactModels)
+{
+    // NaN slips past both "theta < 0 means default" and "theta >= 0":
+    // it must fail at enqueue instead of being served at the default
+    // (memoized) or echoed back as the served theta (exact).
+    TestModel lstm(lstmConfig(), 83, 1, 163);
+
+    serve::ModelRegistry registry;
+    serve::ModelSpec memoized;
+    memoized.name = "memoized";
+    memoized.network = &lstm.network;
+    memoized.bnn = &lstm.bnn;
+    registry.add(memoized);
+    serve::ModelSpec exact = memoized;
+    exact.name = "exact";
+    exact.memoized = false;
+    registry.add(exact);
+
+    serve::FleetOptions options;
+    options.slots = 2;
+    serve::FleetServer fleet(registry, options);
+
+    for (const char *model : {"memoized", "exact"}) {
+        serve::Request nan_theta;
+        nan_theta.input = lstm.sequences[0];
+        nan_theta.theta = std::numeric_limits<double>::quiet_NaN();
+        EXPECT_THROW(fleet.enqueue(model, std::move(nan_theta)).get(),
+                     std::invalid_argument)
+            << model;
+
+        serve::Request good;
+        good.input = lstm.sequences[0];
+        const serve::Response response = serve::FleetServer::collect(
+            fleet.enqueue(model, std::move(good)));
+        EXPECT_EQ(response.steps, lstm.sequences[0].size()) << model;
+    }
+    fleet.stop();
 }
 
 // ------------------------------------------- single-model Server

@@ -2,15 +2,14 @@
 /// Property/fuzz sweep of the per-neuron reuse decision
 /// (memo/memo_decision.hh) and its AVX-512 panel twin.
 ///
-/// The fixed-point BNN decision replaced its division with the
-/// algebraic rewrite
+/// The Q16.16 BNN decision replaced its division with the algebraic
+/// rewrite
 ///
 ///     prev + floor((diff << 16) / mag) <= theta
 ///         ⟺  diff << 16 < (theta - prev + 1) * mag
 ///
-/// and PR 6 additionally vectorized it for dense panels whose slots all
-/// sit at ONE theta (including non-default ones — serving autopilots
-/// retune whole panels away from the default). Both rewrites are pure
+/// and the batch engine vectorizes it for dense panels, eight slots per
+/// step, each slot against its own theta. Both rewrites are pure
 /// scheduling: decisions must be bit-identical to the naive
 /// divide-then-compare reference at every input, especially at the Q16
 /// boundaries where an off-by-one in the rewrite would flip a decision.
@@ -18,13 +17,15 @@
 ///  - Kernel level: bnnReuseDecision vs a literal division-based
 ///    reference over randomized values, exact-boundary constructions
 ///    (delta lands exactly on theta), saturated thetas, yb_t = 0, and
-///    the throttling on/off x fixed-point on/off grid.
-///  - Engine level: a NetworkStepper-driven panel with every slot at
-///    the same NON-default theta (the PR 6 uniform-theta vector path)
-///    evaluated under a forced-portable and a forced-AVX-512 probe ISA
-///    must produce bitwise-identical outputs and reuse counters, and
-///    match the serial MemoEngine at that theta. Skips the AVX-512 arm
-///    on hosts without it.
+///    throttling on and off.
+///  - Engine level: NetworkStepper-driven panels evaluated under every
+///    probe ISA the host supports must produce bitwise-identical
+///    outputs and reuse counters, and match the serial MemoEngine run of
+///    each slot at its own theta. Panels cover every slot at one
+///    non-default theta, and mixed per-slot thetas at widths 8, 13
+///    (masked tail step) and 64 (several full steps), and a slot whose
+///    theta is past the vector path's overflow bound (scalar fallback).
+///    Unsupported ISA arms are skipped.
 
 #include <gtest/gtest.h>
 
@@ -40,7 +41,6 @@
 #include "nn/network_stepper.hh"
 #include "nn/rnn_network.hh"
 #include "tensor/bitpack.hh"
-#include "tensor/vector_ops.hh"
 
 namespace nlfm
 {
@@ -54,9 +54,7 @@ namespace
 /// but obviously Eq. 12-14.
 memo::BnnDecision
 referenceBnnDecision(std::int32_t yb_t, std::int32_t yb_m, bool valid,
-                     std::int64_t prev_raw, double prev_fp,
-                     bool throttle, bool fixed_point, double theta,
-                     Q16 theta_q)
+                     std::int64_t prev_raw, bool throttle, Q16 theta_q)
 {
     memo::BnnDecision decision;
     if (!valid)
@@ -65,50 +63,34 @@ referenceBnnDecision(std::int32_t yb_t, std::int32_t yb_m, bool valid,
     if (yb_t == 0) {
         if (yb_m == 0) {
             decision.deltaRaw = throttle ? prev_raw : 0;
-            decision.deltaFp = throttle ? prev_fp : 0.0;
-            decision.reuse =
-                fixed_point ? Q16::fromRaw(decision.deltaRaw) <= theta_q
-                            : decision.deltaFp <= theta;
+            decision.reuse = Q16::fromRaw(decision.deltaRaw) <= theta_q;
         }
         return decision;
     }
 
-    if (fixed_point) {
-        const std::int64_t diff =
-            std::abs(static_cast<std::int64_t>(yb_t) - yb_m);
-        const std::int64_t mag =
-            std::abs(static_cast<std::int64_t>(yb_t));
-        const std::int64_t prev = throttle ? prev_raw : 0;
-        const std::int64_t delta = prev + ((diff << 16) / mag);
-        if (Q16::fromRaw(delta) <= theta_q) {
-            decision.deltaRaw = delta;
-            decision.reuse = true;
-        }
-        return decision;
+    const std::int64_t diff =
+        std::abs(static_cast<std::int64_t>(yb_t) - yb_m);
+    const std::int64_t mag = std::abs(static_cast<std::int64_t>(yb_t));
+    const std::int64_t prev = throttle ? prev_raw : 0;
+    const std::int64_t delta = prev + ((diff << 16) / mag);
+    if (Q16::fromRaw(delta) <= theta_q) {
+        decision.deltaRaw = delta;
+        decision.reuse = true;
     }
-
-    const double eps = tensor::relativeDifference(
-        static_cast<double>(yb_t), static_cast<double>(yb_m));
-    decision.deltaFp = (throttle ? prev_fp : 0.0) + eps;
-    decision.reuse = decision.deltaFp <= theta;
     return decision;
 }
 
 void
 expectSameDecision(std::int32_t yb_t, std::int32_t yb_m, bool valid,
-                   std::int64_t prev_raw, double prev_fp, bool throttle,
-                   bool fixed_point, double theta, Q16 theta_q)
+                   std::int64_t prev_raw, bool throttle, Q16 theta_q)
 {
-    const memo::BnnDecision expected =
-        referenceBnnDecision(yb_t, yb_m, valid, prev_raw, prev_fp,
-                             throttle, fixed_point, theta, theta_q);
-    const memo::BnnDecision actual =
-        memo::bnnReuseDecision(yb_t, yb_m, valid, prev_raw, prev_fp,
-                               throttle, fixed_point, theta, theta_q);
+    const memo::BnnDecision expected = referenceBnnDecision(
+        yb_t, yb_m, valid, prev_raw, throttle, theta_q);
+    const memo::BnnDecision actual = memo::bnnReuseDecision(
+        yb_t, yb_m, valid, prev_raw, throttle, theta_q);
     ASSERT_EQ(expected.reuse, actual.reuse)
         << "yb_t=" << yb_t << " yb_m=" << yb_m << " valid=" << valid
-        << " prev_raw=" << prev_raw << " prev_fp=" << prev_fp
-        << " throttle=" << throttle << " fixed_point=" << fixed_point
+        << " prev_raw=" << prev_raw << " throttle=" << throttle
         << " theta_raw=" << theta_q.raw();
     // The stored delta only matters when reusing (misses refresh the
     // entry), but when it is stored it feeds every later decision of
@@ -118,9 +100,6 @@ expectSameDecision(std::int32_t yb_t, std::int32_t yb_m, bool valid,
             << "yb_t=" << yb_t << " yb_m=" << yb_m
             << " prev_raw=" << prev_raw
             << " theta_raw=" << theta_q.raw();
-        ASSERT_EQ(expected.deltaFp, actual.deltaFp)
-            << "yb_t=" << yb_t << " yb_m=" << yb_m
-            << " prev_fp=" << prev_fp << " theta=" << theta;
     }
 }
 
@@ -158,7 +137,6 @@ TEST(MemoDecisionProperty, RandomizedAgainstDivisionReference)
                 : drawBnnValue(rng);
         const bool valid = rng.uniformInt(8) != 0;
         const bool throttle = rng.uniformInt(4) != 0;
-        const bool fixed_point = rng.uniformInt(2) == 0;
         const double theta =
             thetas[rng.uniformInt(std::size(thetas))];
         const Q16 theta_q = Q16::fromDouble(theta);
@@ -167,10 +145,8 @@ TEST(MemoDecisionProperty, RandomizedAgainstDivisionReference)
         const std::int64_t prev_raw = static_cast<std::int64_t>(
             rng.uniformInt(
                 2 * static_cast<std::uint64_t>(theta_q.raw()) + 2));
-        const double prev_fp =
-            static_cast<double>(prev_raw) / 65536.0;
-        expectSameDecision(yb_t, yb_m, valid, prev_raw, prev_fp,
-                           throttle, fixed_point, theta, theta_q);
+        expectSameDecision(yb_t, yb_m, valid, prev_raw, throttle,
+                           theta_q);
         if (HasFatalFailure())
             return;
     }
@@ -204,10 +180,8 @@ TEST(MemoDecisionProperty, ExactQ16BoundaryCases)
                      {prev + q - 1, prev + q, prev + q + 1}) {
                     if (theta_raw < 0)
                         continue;
-                    const Q16 theta_q = Q16::fromRaw(theta_raw);
-                    expectSameDecision(yb_t, yb_m, true, prev,
-                                       0.0, true, true,
-                                       theta_q.toDouble(), theta_q);
+                    expectSameDecision(yb_t, yb_m, true, prev, true,
+                                       Q16::fromRaw(theta_raw));
                     if (HasFatalFailure())
                         return;
                 }
@@ -229,18 +203,12 @@ TEST(MemoDecisionProperty, SaturatedThetaAndZeroOutputs)
             for (const bool throttle : {false, true})
                 for (const std::int64_t prev :
                      {std::int64_t{0}, std::int64_t{1} << 30}) {
-                    expectSameDecision(yb_t, yb_m, true, prev,
-                                       static_cast<double>(prev) /
-                                           65536.0,
-                                       throttle, true, 1e18,
+                    expectSameDecision(yb_t, yb_m, true, prev, throttle,
                                        saturated);
                     if (HasFatalFailure())
                         return;
                     // Theta zero: only an exact BNN match may reuse.
-                    expectSameDecision(yb_t, yb_m, true, prev,
-                                       static_cast<double>(prev) /
-                                           65536.0,
-                                       throttle, true, 0.0,
+                    expectSameDecision(yb_t, yb_m, true, prev, throttle,
                                        Q16::fromDouble(0.0));
                     if (HasFatalFailure())
                         return;
@@ -276,9 +244,8 @@ equalLengthSequences(std::size_t batch, std::size_t steps,
 }
 
 /// Serve a dense panel through NetworkStepper with EVERY slot pinned to
-/// @p theta (a non-default value hits the PR 6 uniform-theta vector
-/// path when the active ISA is AVX-512). Returns per-slot outputs and
-/// the engine's reuse count.
+/// @p theta (the vector decide path when the active ISA is AVX-512).
+/// Returns per-slot outputs and the engine's reuse count.
 std::pair<std::vector<nn::Sequence>, std::uint64_t>
 servePanel(nn::RnnNetwork &network, nn::BinarizedNetwork &bnn,
            const memo::MemoOptions &options,
@@ -370,62 +337,82 @@ TEST(MemoDecisionProperty, UniformNonDefaultThetaPanelIsIsaInvariant)
 
 TEST(MemoDecisionProperty, MixedThetaPanelIsIsaInvariant)
 {
-    // Mixed per-slot thetas force the scalar loop even under AVX-512;
-    // outputs must still be ISA-invariant and match the per-slot serial
-    // runs (each at its own theta).
+    // Mixed per-slot thetas: the AVX-512 decide reads each slot's own
+    // theta, so outputs and reuse counters must be ISA-invariant and
+    // match the per-slot serial runs (each at its own theta). Widths 8,
+    // 13 (a masked tail step) and 64 (several full steps) run the
+    // vector path; the last panel adds one slot at a theta past the
+    // (theta + 1) * mag overflow bound, which sends the whole panel to
+    // the scalar loop.
     const nn::RnnConfig config = panelConfig();
     nn::RnnNetwork network(config);
     Rng init_rng(100);
     nn::initNetwork(network, init_rng);
     nn::BinarizedNetwork bnn(network);
 
-    const auto sequences =
-        equalLengthSequences(8, 10, config.inputSize, 321);
-    const double slot_thetas[] = {0.0,  0.02, 0.05, 0.1,
-                                  0.15, 0.2,  0.3,  0.05};
+    const double cycle[] = {0.0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.05};
+    std::vector<std::vector<double>> panels;
+    for (const std::size_t width : {8, 13, 64}) {
+        std::vector<double> thetas(width);
+        for (std::size_t s = 0; s < width; ++s)
+            thetas[s] = cycle[s % std::size(cycle)];
+        panels.push_back(thetas);
+    }
+    panels.push_back(panels[1]);
+    panels.back().push_back(1e12);
 
     memo::MemoOptions options;
     options.predictor = memo::PredictorKind::Bnn;
     options.theta = 0.05;
 
-    ASSERT_TRUE(tensor::bnnSetIsa(tensor::BnnIsa::Portable));
-    std::vector<nn::Sequence> reference;
-    for (std::size_t s = 0; s < sequences.size(); ++s) {
-        memo::MemoOptions serial_options = options;
-        serial_options.theta = slot_thetas[s];
-        memo::MemoEngine serial(network, &bnn, serial_options);
-        reference.push_back(network.forward(sequences[s], serial));
-    }
+    for (const std::vector<double> &slot_thetas : panels) {
+        const std::size_t slots = slot_thetas.size();
+        const auto sequences =
+            equalLengthSequences(slots, 10, config.inputSize, 321);
 
-    for (const tensor::BnnIsa isa :
-         {tensor::BnnIsa::Portable, tensor::BnnIsa::Avx512}) {
-        if (!tensor::bnnSetIsa(isa))
-            continue;
-        const std::size_t slots = sequences.size();
-        nn::NetworkStepper stepper(network, slots);
-        memo::BatchMemoEngine engine(network, &bnn, options);
-        engine.beginBatch(slots);
-        std::vector<std::size_t> rows(slots);
+        ASSERT_TRUE(tensor::bnnSetIsa(tensor::BnnIsa::Portable));
+        std::vector<nn::Sequence> reference;
+        std::uint64_t serial_reused = 0;
         for (std::size_t s = 0; s < slots; ++s) {
-            rows[s] = s;
-            stepper.resetSlot(s);
-            engine.admitSlot(s, slot_thetas[s]);
+            memo::MemoOptions serial_options = options;
+            serial_options.theta = slot_thetas[s];
+            memo::MemoEngine serial(network, &bnn, serial_options);
+            reference.push_back(network.forward(sequences[s], serial));
+            serial_reused += serial.stats().totalReused();
         }
-        for (std::size_t t = 0; t < sequences.front().size(); ++t) {
-            tensor::Matrix &input = stepper.inputPanel();
-            for (std::size_t s = 0; s < slots; ++s)
-                std::copy(sequences[s][t].begin(),
-                          sequences[s][t].end(),
-                          input.row(s).begin());
-            stepper.step(rows, engine);
+
+        for (const tensor::BnnIsa isa :
+             {tensor::BnnIsa::Portable, tensor::BnnIsa::Avx512}) {
+            if (!tensor::bnnSetIsa(isa))
+                continue;
+            nn::NetworkStepper stepper(network, slots);
+            memo::BatchMemoEngine engine(network, &bnn, options);
+            engine.beginBatch(slots);
+            std::vector<std::size_t> rows(slots);
             for (std::size_t s = 0; s < slots; ++s) {
-                const auto out = stepper.output(s);
-                for (std::size_t i = 0; i < out.size(); ++i)
-                    ASSERT_EQ(out[i], reference[s][t][i])
-                        << "isa " << tensor::bnnIsaName(isa)
-                        << " slot " << s << " step " << t
-                        << " element " << i;
+                rows[s] = s;
+                stepper.resetSlot(s);
+                engine.admitSlot(s, slot_thetas[s]);
             }
+            for (std::size_t t = 0; t < sequences.front().size(); ++t) {
+                tensor::Matrix &input = stepper.inputPanel();
+                for (std::size_t s = 0; s < slots; ++s)
+                    std::copy(sequences[s][t].begin(),
+                              sequences[s][t].end(),
+                              input.row(s).begin());
+                stepper.step(rows, engine);
+                for (std::size_t s = 0; s < slots; ++s) {
+                    const auto out = stepper.output(s);
+                    for (std::size_t i = 0; i < out.size(); ++i)
+                        ASSERT_EQ(out[i], reference[s][t][i])
+                            << "isa " << tensor::bnnIsaName(isa)
+                            << " slots " << slots << " slot " << s
+                            << " step " << t << " element " << i;
+                }
+            }
+            EXPECT_EQ(engine.stats().totalReused(), serial_reused)
+                << "isa " << tensor::bnnIsaName(isa) << " slots "
+                << slots;
         }
     }
     tensor::bnnSetIsa(tensor::bnnBestIsa());
