@@ -1,6 +1,7 @@
 #include "nn/activations.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 
@@ -10,15 +11,17 @@ namespace nlfm::nn
 void
 sigmoidInPlace(std::span<float> values)
 {
-    for (auto &value : values)
-        value = sigmoid(value);
+    lanes::forEachStep(values.size(), [&](std::size_t n, auto io) {
+        io.store(&values[n], lanes::sigmoidLanes(io.load(&values[n])));
+    });
 }
 
 void
 tanhInPlace(std::span<float> values)
 {
-    for (auto &value : values)
-        value = tanhAct(value);
+    lanes::forEachStep(values.size(), [&](std::size_t n, auto io) {
+        io.store(&values[n], lanes::tanhLanes(io.load(&values[n])));
+    });
 }
 
 void

@@ -6,6 +6,49 @@
 namespace nlfm::nn
 {
 
+namespace
+{
+
+/**
+ * BRC modulation phase for one row: mod_h = a_t . h_{t-1}, the
+ * recurrent input of the candidate gate, with a_t = 1 + phi(@p pre_a +
+ * bias). kActLanes neurons per step; step() and stepBatch() both run it.
+ */
+void
+brcModulateRow(const GateParams &mod, const float *pre_a, const float *h,
+               float *mod_h)
+{
+    using namespace lanes;
+    const float *b_a = mod.bias.data();
+    forEachStep(mod.bias.size(), [&](std::size_t n, auto io) {
+        const Vec a_t = add(
+            splat(1.f), tanhLanes(add(io.load(pre_a + n), io.load(b_a + n))));
+        io.store(mod_h + n, mul(a_t, io.load(h + n)));
+    });
+}
+
+/**
+ * BRC blend phase for one row: h_t = c_t . h_{t-1} + (1 - c_t) . g_t
+ * with c_t = sigma(@p pre_c + bias_c) and g_t = phi(@p pre_g + bias_g),
+ * updating @p h in place.
+ */
+void
+brcBlendRow(const GateParams &update, const GateParams &candidate,
+            const float *pre_c, const float *pre_g, float *h)
+{
+    using namespace lanes;
+    const float *b_c = update.bias.data();
+    const float *b_g = candidate.bias.data();
+    forEachStep(update.bias.size(), [&](std::size_t n, auto io) {
+        const Vec c_t = sigmoidLanes(add(io.load(pre_c + n), io.load(b_c + n)));
+        const Vec g_t = tanhLanes(add(io.load(pre_g + n), io.load(b_g + n)));
+        io.store(h + n, madd(c_t, io.load(h + n),
+                             mul(sub(splat(1.f), c_t), g_t)));
+    });
+}
+
+} // namespace
+
 BrcCell::BrcCell(std::size_t x_size, std::size_t hidden)
     : RnnCell(x_size, hidden)
 {
@@ -42,22 +85,15 @@ BrcCell::step(std::span<const float> x, CellState &state,
                       preact_[BrcUpdate]);
 
     // a_t modulates the recurrent input of the candidate.
-    for (std::size_t n = 0; n < hidden_; ++n) {
-        const float a_t =
-            1.f + tanhAct(preact_[BrcMod][n] + gates_[BrcMod].bias[n]);
-        modHidden_[n] = a_t * state.h[n];
-    }
+    brcModulateRow(gates_[BrcMod], preact_[BrcMod].data(), state.h.data(),
+                   modHidden_.data());
 
     eval.evaluateGate(instances_[BrcCandidate], gates_[BrcCandidate], x,
                       modHidden_, preact_[BrcCandidate]);
 
-    for (std::size_t n = 0; n < hidden_; ++n) {
-        const float c_t =
-            sigmoid(preact_[BrcUpdate][n] + gates_[BrcUpdate].bias[n]);
-        const float g_t = tanhAct(preact_[BrcCandidate][n] +
-                                  gates_[BrcCandidate].bias[n]);
-        state.h[n] = c_t * state.h[n] + (1.f - c_t) * g_t;
-    }
+    brcBlendRow(gates_[BrcUpdate], gates_[BrcCandidate],
+                preact_[BrcUpdate].data(), preact_[BrcCandidate].data(),
+                state.h.data());
 }
 
 BatchCellState
@@ -86,35 +122,20 @@ BrcCell::stepBatch(const tensor::Matrix &x, std::span<const std::size_t> rows,
                            state.h, rows, slot_base,
                            state.preact[BrcUpdate]);
 
-    // a_t modulates the recurrent input of the candidate (same
-    // expressions as step(), per live row).
-    for (const std::size_t b : rows) {
-        const auto pre_a = state.preact[BrcMod].row(b);
-        const auto h_row = state.h.row(b);
-        const auto mod_row = state.scratch.row(b);
-        for (std::size_t n = 0; n < hidden_; ++n) {
-            const float a_t =
-                1.f + tanhAct(pre_a[n] + gates_[BrcMod].bias[n]);
-            mod_row[n] = a_t * h_row[n];
-        }
-    }
+    // a_t modulates the recurrent input of the candidate.
+    for (const std::size_t b : rows)
+        brcModulateRow(gates_[BrcMod], state.preact[BrcMod].row(b).data(),
+                       state.h.row(b).data(), state.scratch.row(b).data());
 
     eval.evaluateGateBatch(instances_[BrcCandidate], gates_[BrcCandidate],
                            x, state.scratch, rows, slot_base,
                            state.preact[BrcCandidate]);
 
-    for (const std::size_t b : rows) {
-        const auto pre_c = state.preact[BrcUpdate].row(b);
-        const auto pre_g = state.preact[BrcCandidate].row(b);
-        const auto h_row = state.h.row(b);
-        for (std::size_t n = 0; n < hidden_; ++n) {
-            const float c_t =
-                sigmoid(pre_c[n] + gates_[BrcUpdate].bias[n]);
-            const float g_t = tanhAct(pre_g[n] +
-                                      gates_[BrcCandidate].bias[n]);
-            h_row[n] = c_t * h_row[n] + (1.f - c_t) * g_t;
-        }
-    }
+    for (const std::size_t b : rows)
+        brcBlendRow(gates_[BrcUpdate], gates_[BrcCandidate],
+                    state.preact[BrcUpdate].row(b).data(),
+                    state.preact[BrcCandidate].row(b).data(),
+                    state.h.row(b).data());
 }
 
 } // namespace nlfm::nn

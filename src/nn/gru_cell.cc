@@ -6,6 +6,48 @@
 namespace nlfm::nn
 {
 
+namespace
+{
+
+/**
+ * GRU reset phase for one row: reset_h = r_t . h_{t-1}, the recurrent
+ * input of the candidate gate, with r_t = sigma(@p pre_r + bias).
+ * kActLanes neurons per step; step() and stepBatch() both run it.
+ */
+void
+gruResetRow(const GateParams &reset, const float *pre_r, const float *h,
+            float *reset_h)
+{
+    using namespace lanes;
+    const float *b_r = reset.bias.data();
+    forEachStep(reset.bias.size(), [&](std::size_t n, auto io) {
+        const Vec r_t = sigmoidLanes(add(io.load(pre_r + n), io.load(b_r + n)));
+        io.store(reset_h + n, mul(r_t, io.load(h + n)));
+    });
+}
+
+/**
+ * GRU blend phase for one row: h_t = (1 - z_t) . h_{t-1} + z_t . g_t
+ * with z_t = sigma(@p pre_z + bias_z) and g_t = phi(@p pre_g + bias_g),
+ * updating @p h in place.
+ */
+void
+gruBlendRow(const GateParams &update, const GateParams &candidate,
+            const float *pre_z, const float *pre_g, float *h)
+{
+    using namespace lanes;
+    const float *b_z = update.bias.data();
+    const float *b_g = candidate.bias.data();
+    forEachStep(update.bias.size(), [&](std::size_t n, auto io) {
+        const Vec z_t = sigmoidLanes(add(io.load(pre_z + n), io.load(b_z + n)));
+        const Vec g_t = tanhLanes(add(io.load(pre_g + n), io.load(b_g + n)));
+        io.store(h + n, madd(sub(splat(1.f), z_t), io.load(h + n),
+                             mul(z_t, g_t)));
+    });
+}
+
+} // namespace
+
 GruCell::GruCell(std::size_t x_size, std::size_t hidden)
     : RnnCell(x_size, hidden)
 {
@@ -42,22 +84,15 @@ GruCell::step(std::span<const float> x, CellState &state,
                       preact_[GruReset]);
 
     // r_t gates the recurrent input of the candidate.
-    for (std::size_t n = 0; n < hidden_; ++n) {
-        const float r_t =
-            sigmoid(preact_[GruReset][n] + gates_[GruReset].bias[n]);
-        resetHidden_[n] = r_t * state.h[n];
-    }
+    gruResetRow(gates_[GruReset], preact_[GruReset].data(), state.h.data(),
+                resetHidden_.data());
 
     eval.evaluateGate(instances_[GruCandidate], gates_[GruCandidate], x,
                       resetHidden_, preact_[GruCandidate]);
 
-    for (std::size_t n = 0; n < hidden_; ++n) {
-        const float z_t =
-            sigmoid(preact_[GruUpdate][n] + gates_[GruUpdate].bias[n]);
-        const float g_t = tanhAct(preact_[GruCandidate][n] +
-                                  gates_[GruCandidate].bias[n]);
-        state.h[n] = (1.f - z_t) * state.h[n] + z_t * g_t;
-    }
+    gruBlendRow(gates_[GruUpdate], gates_[GruCandidate],
+                preact_[GruUpdate].data(), preact_[GruCandidate].data(),
+                state.h.data());
 }
 
 BatchCellState
@@ -86,35 +121,20 @@ GruCell::stepBatch(const tensor::Matrix &x, std::span<const std::size_t> rows,
     eval.evaluateGateBatch(instances_[GruReset], gates_[GruReset], x,
                            state.h, rows, slot_base, state.preact[GruReset]);
 
-    // r_t gates the recurrent input of the candidate (same expressions as
-    // step(), per live row).
-    for (const std::size_t b : rows) {
-        const auto pre_r = state.preact[GruReset].row(b);
-        const auto h_row = state.h.row(b);
-        const auto reset_row = state.scratch.row(b);
-        for (std::size_t n = 0; n < hidden_; ++n) {
-            const float r_t =
-                sigmoid(pre_r[n] + gates_[GruReset].bias[n]);
-            reset_row[n] = r_t * h_row[n];
-        }
-    }
+    // r_t gates the recurrent input of the candidate.
+    for (const std::size_t b : rows)
+        gruResetRow(gates_[GruReset], state.preact[GruReset].row(b).data(),
+                    state.h.row(b).data(), state.scratch.row(b).data());
 
     eval.evaluateGateBatch(instances_[GruCandidate], gates_[GruCandidate],
                            x, state.scratch, rows, slot_base,
                            state.preact[GruCandidate]);
 
-    for (const std::size_t b : rows) {
-        const auto pre_z = state.preact[GruUpdate].row(b);
-        const auto pre_g = state.preact[GruCandidate].row(b);
-        const auto h_row = state.h.row(b);
-        for (std::size_t n = 0; n < hidden_; ++n) {
-            const float z_t =
-                sigmoid(pre_z[n] + gates_[GruUpdate].bias[n]);
-            const float g_t = tanhAct(pre_g[n] +
-                                      gates_[GruCandidate].bias[n]);
-            h_row[n] = (1.f - z_t) * h_row[n] + z_t * g_t;
-        }
-    }
+    for (const std::size_t b : rows)
+        gruBlendRow(gates_[GruUpdate], gates_[GruCandidate],
+                    state.preact[GruUpdate].row(b).data(),
+                    state.preact[GruCandidate].row(b).data(),
+                    state.h.row(b).data());
 }
 
 } // namespace nlfm::nn

@@ -1,5 +1,7 @@
 #include "nn/lstm_cell.hh"
 
+#include <array>
+
 #include "common/logging.hh"
 #include "nn/activations.hh"
 
@@ -41,6 +43,54 @@ RnnCell::setInstances(std::vector<GateInstance> instances)
                 "one instance per gate required");
     instances_ = std::move(instances);
 }
+
+namespace
+{
+
+/**
+ * E-PUR's MU for one row of LSTM neurons: Eqs. 1-6 after the dot
+ * products. @p pre holds each gate's Wx x_t + Wh h_{t-1} (indexed by
+ * LstmGate); the cell state @p c and output @p h are updated in place,
+ * kActLanes neurons per step. step() and stepBatch() both run it, so a
+ * sequence's state evolves bit for bit the same either way.
+ */
+void
+lstmUpdateRow(const std::vector<GateParams> &gates, bool peepholes,
+              const std::array<const float *, 4> &pre, float *c, float *h)
+{
+    using namespace lanes;
+    const float *b_i = gates[LstmInput].bias.data();
+    const float *b_f = gates[LstmForget].bias.data();
+    const float *b_g = gates[LstmUpdate].bias.data();
+    const float *b_o = gates[LstmOutput].bias.data();
+    const float *p_i = gates[LstmInput].peephole.data();
+    const float *p_f = gates[LstmForget].peephole.data();
+    const float *p_o = gates[LstmOutput].peephole.data();
+    forEachStep(gates[LstmInput].bias.size(), [&](std::size_t n, auto io) {
+        const Vec c_prev = io.load(c + n);
+        Vec zi = add(io.load(pre[LstmInput] + n), io.load(b_i + n));
+        Vec zf = add(io.load(pre[LstmForget] + n), io.load(b_f + n));
+        if (peepholes) {
+            zi = madd(io.load(p_i + n), c_prev, zi);
+            zf = madd(io.load(p_f + n), c_prev, zf);
+        }
+        const Vec i_t = sigmoidLanes(zi);
+        const Vec f_t = sigmoidLanes(zf);
+        const Vec g_t =
+            tanhLanes(add(io.load(pre[LstmUpdate] + n), io.load(b_g + n)));
+
+        const Vec c_t = madd(f_t, c_prev, mul(i_t, g_t));
+
+        Vec zo = add(io.load(pre[LstmOutput] + n), io.load(b_o + n));
+        if (peepholes)
+            zo = madd(io.load(p_o + n), c_t, zo);
+
+        io.store(c + n, c_t);
+        io.store(h + n, mul(sigmoidLanes(zo), tanhLanes(c_t)));
+    });
+}
+
+} // namespace
 
 LstmCell::LstmCell(std::size_t x_size, std::size_t hidden, bool peepholes)
     : RnnCell(x_size, hidden), peepholes_(peepholes)
@@ -85,31 +135,10 @@ LstmCell::step(std::span<const float> x, CellState &state,
     for (std::size_t g = 0; g < 4; ++g)
         eval.evaluateGate(instances_[g], gates_[g], x, state.h, preact_[g]);
 
-    std::vector<float> &c_state = state.extra[0];
-    for (std::size_t n = 0; n < hidden_; ++n) {
-        const float c_prev = c_state[n];
-
-        float zi = preact_[LstmInput][n] + gates_[LstmInput].bias[n];
-        float zf = preact_[LstmForget][n] + gates_[LstmForget].bias[n];
-        if (peepholes_) {
-            zi += gates_[LstmInput].peephole[n] * c_prev;
-            zf += gates_[LstmForget].peephole[n] * c_prev;
-        }
-        const float i_t = sigmoid(zi);
-        const float f_t = sigmoid(zf);
-        const float g_t =
-            tanhAct(preact_[LstmUpdate][n] + gates_[LstmUpdate].bias[n]);
-
-        const float c_t = f_t * c_prev + i_t * g_t;
-
-        float zo = preact_[LstmOutput][n] + gates_[LstmOutput].bias[n];
-        if (peepholes_)
-            zo += gates_[LstmOutput].peephole[n] * c_t;
-        const float o_t = sigmoid(zo);
-
-        c_state[n] = c_t;
-        state.h[n] = o_t * tanhAct(c_t);
-    }
+    lstmUpdateRow(gates_, peepholes_,
+                  {preact_[LstmInput].data(), preact_[LstmForget].data(),
+                   preact_[LstmUpdate].data(), preact_[LstmOutput].data()},
+                  state.extra[0].data(), state.h.data());
 }
 
 BatchCellState
@@ -138,41 +167,13 @@ LstmCell::stepBatch(const tensor::Matrix &x,
         eval.evaluateGateBatch(instances_[g], gates_[g], x, state.h, rows,
                                slot_base, state.preact[g]);
 
-    // Elementwise update per live row: the same scalar expressions as
-    // step(), so each sequence's state stays bitwise identical to its
-    // serial evolution.
-    for (const std::size_t b : rows) {
-        const auto pre_i = state.preact[LstmInput].row(b);
-        const auto pre_f = state.preact[LstmForget].row(b);
-        const auto pre_g = state.preact[LstmUpdate].row(b);
-        const auto pre_o = state.preact[LstmOutput].row(b);
-        const auto h_row = state.h.row(b);
-        const auto c_row = state.extra[0].row(b);
-        for (std::size_t n = 0; n < hidden_; ++n) {
-            const float c_prev = c_row[n];
-
-            float zi = pre_i[n] + gates_[LstmInput].bias[n];
-            float zf = pre_f[n] + gates_[LstmForget].bias[n];
-            if (peepholes_) {
-                zi += gates_[LstmInput].peephole[n] * c_prev;
-                zf += gates_[LstmForget].peephole[n] * c_prev;
-            }
-            const float i_t = sigmoid(zi);
-            const float f_t = sigmoid(zf);
-            const float g_t =
-                tanhAct(pre_g[n] + gates_[LstmUpdate].bias[n]);
-
-            const float c_t = f_t * c_prev + i_t * g_t;
-
-            float zo = pre_o[n] + gates_[LstmOutput].bias[n];
-            if (peepholes_)
-                zo += gates_[LstmOutput].peephole[n] * c_t;
-            const float o_t = sigmoid(zo);
-
-            c_row[n] = c_t;
-            h_row[n] = o_t * tanhAct(c_t);
-        }
-    }
+    for (const std::size_t b : rows)
+        lstmUpdateRow(gates_, peepholes_,
+                      {state.preact[LstmInput].row(b).data(),
+                       state.preact[LstmForget].row(b).data(),
+                       state.preact[LstmUpdate].row(b).data(),
+                       state.preact[LstmOutput].row(b).data()},
+                      state.extra[0].row(b).data(), state.h.row(b).data());
 }
 
 } // namespace nlfm::nn

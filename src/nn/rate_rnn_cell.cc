@@ -8,6 +8,30 @@
 namespace nlfm::nn
 {
 
+namespace
+{
+
+/**
+ * Rate-RNN leaky integration for one row: h_t = (1 - a) . h_{t-1} +
+ * a . phi(@p pre + bias), with the per-neuron leak a in the gate's
+ * peephole slot, updating @p h in place. kActLanes neurons per step;
+ * step() and stepBatch() both run it.
+ */
+void
+rateUpdateRow(const GateParams &drive, const float *pre, float *h)
+{
+    using namespace lanes;
+    const float *bias = drive.bias.data();
+    const float *leak = drive.peephole.data();
+    forEachStep(drive.bias.size(), [&](std::size_t n, auto io) {
+        const Vec d_t = tanhLanes(add(io.load(pre + n), io.load(bias + n)));
+        const Vec a = io.load(leak + n);
+        io.store(h + n, madd(sub(splat(1.f), a), io.load(h + n), mul(a, d_t)));
+    });
+}
+
+} // namespace
+
 RateRnnCell::RateRnnCell(std::size_t x_size, std::size_t hidden)
     : RnnCell(x_size, hidden)
 {
@@ -52,11 +76,7 @@ RateRnnCell::step(std::span<const float> x, CellState &state,
     const auto &gate = gates_[RateDrive];
     eval.evaluateGate(instances_[RateDrive], gate, x, state.h, preact_);
 
-    for (std::size_t n = 0; n < hidden_; ++n) {
-        const float d_t = tanhAct(preact_[n] + gate.bias[n]);
-        const float a = gate.peephole[n];
-        state.h[n] = (1.f - a) * state.h[n] + a * d_t;
-    }
+    rateUpdateRow(gate, preact_.data(), state.h.data());
 }
 
 BatchCellState
@@ -83,15 +103,9 @@ RateRnnCell::stepBatch(const tensor::Matrix &x,
     eval.evaluateGateBatch(instances_[RateDrive], gate, x, state.h, rows,
                            slot_base, state.preact[RateDrive]);
 
-    for (const std::size_t b : rows) {
-        const auto pre = state.preact[RateDrive].row(b);
-        const auto h_row = state.h.row(b);
-        for (std::size_t n = 0; n < hidden_; ++n) {
-            const float d_t = tanhAct(pre[n] + gate.bias[n]);
-            const float a = gate.peephole[n];
-            h_row[n] = (1.f - a) * h_row[n] + a * d_t;
-        }
-    }
+    for (const std::size_t b : rows)
+        rateUpdateRow(gate, state.preact[RateDrive].row(b).data(),
+                      state.h.row(b).data());
 }
 
 } // namespace nlfm::nn

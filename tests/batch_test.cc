@@ -169,25 +169,32 @@ TEST(MatvecPanelTest, MatchesSerialRowKernelBitwise)
 
 TEST(ForwardBatchTest, BitwiseIdenticalToSerialAcrossTopologies)
 {
-    for (const nn::CellType type :
-         {nn::CellType::Lstm, nn::CellType::Gru, nn::CellType::RateRnn,
-          nn::CellType::Brc}) {
-        for (const bool bidirectional : {false, true}) {
-            const nn::RnnConfig config = smallConfig(type, bidirectional);
-            const auto network = buildNetwork(config);
-            for (const std::size_t batch : {1u, 3u, 17u}) {
-                const auto sequences =
-                    makeSequences(batch, config.inputSize, 100 + batch);
+    // Hidden sizes 5, 8 and 13 run the cells' 8-neuron row kernels as a
+    // partial step only, one full step only, and a full step plus a
+    // partial one.
+    for (const std::size_t hidden : {5u, 8u, 13u}) {
+        for (const nn::CellType type :
+             {nn::CellType::Lstm, nn::CellType::Gru, nn::CellType::RateRnn,
+              nn::CellType::Brc}) {
+            for (const bool bidirectional : {false, true}) {
+                nn::RnnConfig config = smallConfig(type, bidirectional);
+                config.hiddenSize = hidden;
+                const auto network = buildNetwork(config);
+                for (const std::size_t batch : {1u, 3u, 17u}) {
+                    const auto sequences =
+                        makeSequences(batch, config.inputSize, 100 + batch);
 
-                std::vector<nn::Sequence> serial;
-                for (const auto &sequence : sequences)
-                    serial.push_back(network->forwardBaseline(sequence));
+                    std::vector<nn::Sequence> serial;
+                    for (const auto &sequence : sequences)
+                        serial.push_back(
+                            network->forwardBaseline(sequence));
 
-                const auto batched =
-                    network->forwardBatchBaseline(sequences);
-                ASSERT_EQ(batched.size(), serial.size());
-                for (std::size_t b = 0; b < serial.size(); ++b)
-                    expectBitwiseEqual(serial[b], batched[b], b);
+                    const auto batched =
+                        network->forwardBatchBaseline(sequences);
+                    ASSERT_EQ(batched.size(), serial.size());
+                    for (std::size_t b = 0; b < serial.size(); ++b)
+                        expectBitwiseEqual(serial[b], batched[b], b);
+                }
             }
         }
     }
@@ -341,12 +348,26 @@ TEST(BatchMemoTest, NewCellFamiliesMatchSerialEngineOutputsAndStats)
     // The LSTM/GRU contract extends unchanged to the registry-era
     // families: the batched engine must reproduce the serial engine's
     // outputs and per-gate reuse statistics exactly, for both the
-    // oracle and the BNN predictor.
-    for (const nn::CellType type :
-         {nn::CellType::RateRnn, nn::CellType::Brc}) {
+    // oracle and the BNN predictor. Hidden sizes 8 and 13 add every
+    // family with a full 8-neuron row-kernel step (and a partial one).
+    struct Case
+    {
+        nn::CellType type;
+        std::size_t hidden;
+    };
+    std::vector<Case> cases = {{nn::CellType::RateRnn, 5},
+                               {nn::CellType::Brc, 5}};
+    for (const std::size_t hidden : {8u, 13u})
+        for (const nn::CellType type :
+             {nn::CellType::Lstm, nn::CellType::Gru, nn::CellType::RateRnn,
+              nn::CellType::Brc})
+            cases.push_back({type, hidden});
+
+    for (const Case &c : cases) {
         for (const memo::PredictorKind predictor :
              {memo::PredictorKind::Oracle, memo::PredictorKind::Bnn}) {
-            const nn::RnnConfig config = smallConfig(type, true);
+            nn::RnnConfig config = smallConfig(c.type, true);
+            config.hiddenSize = c.hidden;
             const auto network = buildNetwork(config);
             nn::BinarizedNetwork bnn(*network);
             const auto sequences = makeSequences(7, config.inputSize, 33);
@@ -376,7 +397,8 @@ TEST(BatchMemoTest, NewCellFamiliesMatchSerialEngineOutputsAndStats)
                  gate < network->gateInstances().size(); ++gate)
                 EXPECT_EQ(stats.gateReuseFraction(gate),
                           serial.stats().gateReuseFraction(gate))
-                    << "gate " << gate;
+                    << nn::cellTypeName(c.type) << " hidden " << c.hidden
+                    << " gate " << gate;
         }
     }
 }

@@ -341,9 +341,10 @@ TEST(MemoDecisionProperty, MixedThetaPanelIsIsaInvariant)
     // theta, so outputs and reuse counters must be ISA-invariant and
     // match the per-slot serial runs (each at its own theta). Widths 8,
     // 13 (a masked tail step) and 64 (several full steps) run the
-    // vector path; the last panel adds one slot at a theta past the
-    // (theta + 1) * mag overflow bound, which sends the whole panel to
-    // the scalar loop.
+    // vector path; the last two panels add one slot at a theta past the
+    // (theta + 1) * mag overflow bound (1e12, and 1e14, where the product
+    // itself would overflow), which sends the whole panel to the scalar
+    // loop.
     const nn::RnnConfig config = panelConfig();
     nn::RnnNetwork network(config);
     Rng init_rng(100);
@@ -360,6 +361,11 @@ TEST(MemoDecisionProperty, MixedThetaPanelIsIsaInvariant)
     }
     panels.push_back(panels[1]);
     panels.back().push_back(1e12);
+    // At 1e14 the Q16 threshold is about 6.6e18, so (theta + 1) * mag
+    // leaves int64 for any mag >= 2: only the bound check keeps this
+    // panel off the vector decide.
+    panels.push_back(panels[1]);
+    panels.back().push_back(1e14);
 
     memo::MemoOptions options;
     options.predictor = memo::PredictorKind::Bnn;
