@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/report.hh"
 
@@ -13,41 +12,15 @@ namespace nlfm::bench
 {
 
 BenchOptions
-parseBenchArgs(int argc, const char *const *argv,
-               const std::string &description)
+parseBenchArgs(CliParser &cli, int argc, const char *const *argv)
 {
-    CliParser cli(description);
     cli.addString("networks", "all",
                   "comma list of IMDB,DeepSpeech2,EESEN,MNMT,"
                   "RateRNN,BRC (all = the four Table-1 networks)");
-    cli.addString("cell", "",
-                  "repeatable: sweep one zoo network per cell family "
-                  "(lstm,gru,raternn,brc) on a matched theta grid "
-                  "(fig16; overrides --networks)");
     cli.addInt("steps", 0, "timesteps per sequence (0 = spec default)");
     cli.addInt("sequences", 0, "sequences per split (0 = spec default)");
     cli.addInt("theta-points", 8, "threshold sweep resolution");
     cli.addBool("quick", false, "downsized smoke run");
-    cli.addBool("admission-sweep", false,
-                "serving benches: also sweep FIFO vs EDF + predictive "
-                "shedding past the queueing knee");
-    cli.addBool("cost-aware", false,
-                "serving benches: also run the fleet sweep with EDF + "
-                "predictive shedding + cost-aware DRR admission");
-    cli.addBool("autopilot-ramp", false,
-                "serving benches: run the theta-autopilot load ramp "
-                "(fixed theta vs closed-loop controller)");
-    cli.addBool("session-turns", false,
-                "serving benches: run the multi-turn session study "
-                "(warm vs cold arms of one turn schedule)");
-    cli.addString("out", "",
-                  "JSON artifact path (empty = bench default; "
-                  "bench_multi_model_load writes nothing without it)");
-    cli.addString("trace-out", "",
-                  "serving benches: run one extra telemetry-enabled "
-                  "load point and write its Chrome trace-event JSON "
-                  "here (load in Perfetto), printing the metrics "
-                  "exposition alongside");
     if (!cli.parse(argc, argv))
         std::exit(0);
 
@@ -58,27 +31,36 @@ parseBenchArgs(int argc, const char *const *argv,
     options.thetaPoints =
         static_cast<std::size_t>(cli.getInt("theta-points"));
     options.quick = cli.getBool("quick");
-    options.admissionSweep = cli.getBool("admission-sweep");
-    options.costAware = cli.getBool("cost-aware");
-    options.autopilotRamp = cli.getBool("autopilot-ramp");
-    options.sessionTurns = cli.getBool("session-turns");
-    options.out = cli.getString("out");
-    options.traceOut = cli.getString("trace-out");
-    options.cells = cli.getStringList("cell");
 
     const std::string networks = cli.getString("networks");
     if (networks == "all") {
         for (const auto &spec : workloads::table1Networks())
             options.networks.push_back(spec.name);
     } else {
-        std::stringstream stream(networks);
-        std::string token;
-        while (std::getline(stream, token, ','))
-            if (!token.empty())
-                options.networks.push_back(token);
+        options.networks = splitCommaList(networks);
     }
     nlfm_assert(!options.networks.empty(), "no networks selected");
     return options;
+}
+
+BenchOptions
+parseBenchArgs(int argc, const char *const *argv,
+               const std::string &description)
+{
+    CliParser cli(description);
+    return parseBenchArgs(cli, argc, argv);
+}
+
+std::vector<std::string>
+splitCommaList(const std::string &list)
+{
+    std::vector<std::string> items;
+    std::stringstream stream(list);
+    std::string token;
+    while (std::getline(stream, token, ','))
+        if (!token.empty())
+            items.push_back(token);
+    return items;
 }
 
 WorkloadSet::WorkloadSet(const BenchOptions &options) : options_(options)

@@ -2,10 +2,12 @@
  * @file
  * Shared machinery for the figure/table bench binaries.
  *
- * Every bench accepts the same CLI surface (network filter, workload
- * sizing, theta grid resolution, --quick smoke mode) and shares the
- * sweep / threshold-tuning / accelerator-simulation plumbing, so each
- * figX_*.cc file only encodes what its figure reports.
+ * The figure and table benches accept the same CLI surface (network
+ * filter, workload sizing, theta grid resolution, --quick smoke mode)
+ * and share the sweep / threshold-tuning / accelerator-simulation
+ * plumbing, so each figX_*.cc file only encodes what its figure
+ * reports. The serving studies have their own flags and driver
+ * (common/load_driver.hh).
  */
 
 #ifndef NLFM_BENCH_COMMON_HH
@@ -17,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "epur/area_model.hh"
 #include "epur/report.hh"
 #include "epur/simulator.hh"
@@ -31,50 +34,28 @@ namespace nlfm::bench
 struct BenchOptions
 {
     std::vector<std::string> networks; ///< subset of the model zoo
-    /// Cell families selected with repeatable --cell flags (descriptor
-    /// cli names, e.g. lstm/gru/raternn/brc). Empty when the flag was
-    /// not given; benches that support the per-cell mode (fig16) map
-    /// each family to its representative zoo network.
-    std::vector<std::string> cells;
     std::size_t steps = 0;             ///< 0 = spec default
     std::size_t sequences = 0;         ///< 0 = spec default
     std::size_t thetaPoints = 8;       ///< sweep resolution
     bool quick = false;                ///< downsized smoke run
-    /// Serving benches only: additionally sweep the PR 5 admission
-    /// policies (FIFO vs EDF + predictive shedding) past the queueing
-    /// knee (bench_serving_load; full mode writes BENCH_PR5.json).
-    bool admissionSweep = false;
-    /// Serving benches only: additionally run the fleet sweep with
-    /// EDF + predictive shedding + cost-aware DRR admission
-    /// (bench_multi_model_load).
-    bool costAware = false;
-    /// Serving benches only: run the theta-autopilot load ramp —
-    /// fixed-theta baseline vs closed-loop controller on seed-paired
-    /// arrivals (bench_serving_load; full mode writes BENCH_PR6.json).
-    bool autopilotRamp = false;
-    /// Serving benches only: run the multi-turn session study — warm
-    /// (session-tagged) vs cold arms of the same turn schedule on a
-    /// two-model fleet, reporting reuse uplift and delivered-loss
-    /// delta (bench_serving_load; full mode writes BENCH_PR8.json).
-    bool sessionTurns = false;
-    /// JSON artifact path. Empty = don't write one (benches that
-    /// default to writing, like bench_serving_load's full mode, say so
-    /// in their --help; bench_multi_model_load only writes when given
-    /// --out).
-    std::string out;
-    /// Serving benches only: non-empty runs one extra load point with
-    /// telemetry (metrics + tracer) enabled and writes its Chrome
-    /// trace-event JSON here, printing the Prometheus-style exposition
-    /// alongside (bench_serving_load --trace-out).
-    std::string traceOut;
 };
 
 /**
- * Parse the standard bench CLI. Exits(0) on --help. @p description is
- * the one-line figure summary shown in the help screen.
+ * Register the standard bench flags on @p cli, beside any the bench
+ * added itself, and parse argv. Exits(0) on --help.
+ */
+BenchOptions parseBenchArgs(CliParser &cli, int argc,
+                            const char *const *argv);
+
+/**
+ * parseBenchArgs for a bench with no flags of its own. @p description
+ * is the one-line figure summary shown in the help screen.
  */
 BenchOptions parseBenchArgs(int argc, const char *const *argv,
                             const std::string &description);
+
+/** The non-empty items of a comma-separated list, in order. */
+std::vector<std::string> splitCommaList(const std::string &list);
 
 /**
  * Lazily-built cache of materialized workloads (the MNMT build costs

@@ -1,1267 +1,156 @@
 /**
  * @file
- * Open-loop load test of the continuous-batching server.
+ * Open-loop load sweep of the continuous-batching server.
  *
- * Seeded from batch_throughput.cc, but measuring the serving question
- * instead of the closed-batch one: under Poisson arrivals at a given
- * offered load, what latency distribution (p50/p95/p99) and goodput
- * (deadline-met completions/s) does the slot-pool server sustain, and
- * how does the reuse threshold theta move the curve? Sequences have
- * ragged lengths and arrive while the panel is mid-flight, so every run
- * exercises mid-flight admission into recycled slots — the scenario the
- * closed-batch bench cannot express.
+ * Under Poisson arrivals at a given offered load, what latency
+ * distribution (p50/p95/p99) and goodput (deadline-met completions/s)
+ * does a one-model slot-pool fleet sustain, and how does the reuse
+ * threshold theta move the curve? Sequences have ragged lengths and
+ * arrive while the panel is mid-flight, so every run exercises
+ * mid-flight admission into recycled slots.
  *
- * Offered load is calibrated against the closed-batch capacity of the
- * same slot count, so "1.0x" means arrivals at the rate a perfectly
- * packed batch could just sustain; above that the bounded queue fills
- * and latency is dominated by queueing, which is the expected and
- * reported behavior (goodput saturates, p99 explodes).
+ * Offered load is calibrated by the saturation probe
+ * (common/load_driver.hh), so "1.0x" means arrivals at the rate the
+ * saturated fleet completes; above that the bounded queue fills and
+ * latency is dominated by queueing (goodput saturates, p99 explodes).
  *
- * --admission-sweep additionally compares FIFO against the PR 5
- * deadline-aware policies (EDF queue order + expired/predictive
- * shedding, calibrated from the same closed-batch measurement) on a
- * tight/loose deadline mix at and beyond the queueing knee; full
- * (non --quick) runs write BENCH_PR5_serving.json — a scratch record
- * that is merged BY HAND with the bench_multi_model_load --cost-aware
- * fairness numbers into the curated, checked-in BENCH_PR5.json
- * (writing the curated name directly would clobber the merged fleet
- * section on every rerun).
- *
- * --autopilot-ramp runs the PR 6 theta-autopilot comparison: take the
- * CANONICAL offline tune sweep (memo::sweepThresholds on the tune
- * split, the same §3.2.1 calibration every figure bench uses) as the
- * theta/reuse/loss curve, pin the fixed arm at the theta that sweep
- * tunes for a conservative 1% loss target, then ramp offered load past
- * capacity and serve the SAME seed-paired arrivals twice — once at
- * that fixed theta, once with the closed-loop ThetaController free to
- * raise the effective floor inside the curve's 5% accuracy budget.
- * Reports goodput, shed counts, and DELIVERED accuracy (served-vs-
- * exact decodes of the completed requests, scored with the workload's
- * canonical loss metric) per arm; full mode writes BENCH_PR6.json (or
- * --out <path>).
- *
- * --session-turns runs the PR 8 warm-start study: a DeepSpeech2 + IMDB
- * fleet serves multi-turn "conversations" (each test sequence split
- * into contiguous turns, submitted turn-by-turn with a barrier between
- * rounds) twice on the identical schedule — once with every request
- * session-tagged (turns after the first warm-resume the stored memo
- * table + recurrent state) and once untagged (every turn starts cold,
- * the pre-session behavior). Reports per-model reuse uplift and the
- * DELIVERED loss of the concatenated turn outputs against the
- * uninterrupted exact-baseline decode of each full session; full mode
- * writes BENCH_PR8.json (or --out <path>).
+ * --trace-out runs one extra load point with telemetry (metrics +
+ * driver tracer) on, writes its Chrome trace-event JSON and prints the
+ * metrics exposition. Exits non-zero when any request does not
+ * complete or the trace cannot be written.
  */
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <thread>
+#include <iterator>
 
-#include "common/bench_common.hh"
+#include "common/load_driver.hh"
 #include "common/logging.hh"
 #include "common/report.hh"
-#include "metrics/accuracy.hh"
-#include "serve/fleet_server.hh"
-#include "serve/server.hh"
-
-namespace
-{
 
 using namespace nlfm;
-
-/** Ragged copies of the workload inputs: length varies 50%..100%. */
-std::vector<nn::Sequence>
-makeRaggedRequests(std::span<const nn::Sequence> inputs,
-                   std::size_t count, Rng &rng)
-{
-    std::vector<nn::Sequence> requests;
-    requests.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        const nn::Sequence &base = inputs[i % inputs.size()];
-        const std::size_t min_len = std::max<std::size_t>(1,
-                                                          base.size() / 2);
-        const std::size_t len =
-            min_len + rng.uniformInt(base.size() - min_len + 1);
-        requests.emplace_back(base.begin(),
-                              base.begin() + static_cast<long>(len));
-    }
-    return requests;
-}
-
-struct LoadPoint
-{
-    double thetaLo = 0.0;
-    double thetaHi = 0.0;
-    double offered = 0.0; ///< arrivals/s
-    serve::StatsSnapshot stats;
-};
-
-/**
- * One open-loop run: @p count requests, exponential interarrivals at
- * @p offered per second, alternating theta between lo and hi (the theta
- * mix — mixed panels take the per-slot scalar decision path) and
- * cycling @p deadlines per request (a single-element span is the
- * uniform-deadline case; the admission sweep alternates tight/loose).
- * Shed futures (admission policies on) carry ShedError; everything
- * else completes.
- */
-serve::StatsSnapshot
-runLoad(nn::RnnNetwork &network, nn::BinarizedNetwork &bnn,
-        const serve::ServerOptions &options,
-        std::span<const nn::Sequence> requests, double theta_lo,
-        double theta_hi, double offered,
-        std::span<const double> deadlines, std::uint64_t seed)
-{
-    serve::Server server(network, &bnn, options);
-    Rng rng(seed);
-
-    std::vector<std::future<serve::Response>> futures;
-    futures.reserve(requests.size());
-    auto next_arrival = serve::Clock::now();
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        // Open loop: arrival times are drawn independently of service
-        // progress; a busy server means queueing, not fewer arrivals.
-        const double gap_s =
-            -std::log(1.0 - rng.uniform()) / std::max(offered, 1e-9);
-        next_arrival += std::chrono::duration_cast<
-            serve::Clock::duration>(std::chrono::duration<double>(gap_s));
-        std::this_thread::sleep_until(next_arrival);
-
-        serve::Request request;
-        request.input = requests[i];
-        request.theta = i % 2 == 0 ? theta_lo : theta_hi;
-        request.deadlineMs = deadlines[i % deadlines.size()];
-        futures.push_back(server.enqueue(std::move(request)));
-    }
-    server.drain();
-    for (auto &future : futures) {
-        try {
-            serve::Server::collect(future);
-        } catch (const serve::ShedError &) {
-        }
-    }
-    return server.stats();
-}
-
-/** One arm of the autopilot ramp: stats plus quality accounting. */
-struct RampResult
-{
-    serve::StatsSnapshot stats;
-    /// Canonical task loss (corpus WER / 100-BLEU / flip rate) of the
-    /// served decodes vs the exact-baseline decodes, over COMPLETED
-    /// requests only (shed requests deliver nothing, so they cannot
-    /// dilute it).
-    double deliveredLossPct = 0.0;
-    double meanServedTheta = 0.0;
-    double maxFloor = 0.0;
-};
-
-/**
- * Like runLoad, but every request carries the "server default" theta
- * sentinel (the autopilot floor is the only quality lever) and each
- * completed response is decoded with the workload's canonical read-out
- * and scored against the request's exact-baseline decode with the
- * workload's canonical loss metric.
- */
-RampResult
-runRamp(nn::RnnNetwork &network, nn::BinarizedNetwork &bnn,
-        const workloads::WorkloadEvaluator &evaluator,
-        const serve::ServerOptions &options,
-        std::span<const nn::Sequence> requests,
-        std::span<const metrics::TokenSeq> exact_decodes,
-        double offered, std::span<const double> deadlines,
-        std::uint64_t seed)
-{
-    serve::Server server(network, &bnn, options);
-    Rng rng(seed);
-
-    std::vector<std::future<serve::Response>> futures;
-    futures.reserve(requests.size());
-    auto next_arrival = serve::Clock::now();
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const double gap_s =
-            -std::log(1.0 - rng.uniform()) / std::max(offered, 1e-9);
-        next_arrival += std::chrono::duration_cast<
-            serve::Clock::duration>(std::chrono::duration<double>(gap_s));
-        std::this_thread::sleep_until(next_arrival);
-
-        serve::Request request;
-        request.input = requests[i];
-        request.theta = -1.0;
-        request.deadlineMs = deadlines[i % deadlines.size()];
-        futures.push_back(server.enqueue(std::move(request)));
-    }
-    server.drain();
-
-    RampResult result;
-    std::vector<metrics::TokenSeq> served, exact;
-    double theta_sum = 0.0;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        try {
-            const serve::Response response =
-                serve::Server::collect(futures[i]);
-            theta_sum += response.theta;
-            served.push_back(evaluator.decodeSequence(response.output));
-            exact.push_back(exact_decodes[i]);
-        } catch (const serve::ShedError &) {
-        }
-    }
-    result.stats = server.stats();
-    result.maxFloor = server.maxThetaFloorSeen();
-    result.meanServedTheta =
-        served.empty()
-            ? 0.0
-            : theta_sum / static_cast<double>(served.size());
-    result.deliveredLossPct =
-        served.empty() ? 0.0 : evaluator.scoreLoss(exact, served);
-    return result;
-}
-
-/** One resident model of the --session-turns study. */
-struct SessionModel
-{
-    std::string name;
-    std::unique_ptr<workloads::Workload> workload;
-    std::unique_ptr<workloads::WorkloadEvaluator> evaluator;
-    /// Full-length session sequences (one session per test sequence).
-    std::vector<nn::Sequence> sessions;
-    /// sessions split into contiguous turns: turns[session][turn].
-    std::vector<std::vector<nn::Sequence>> turns;
-    /// Exact-baseline decode of each full (uninterrupted) session.
-    std::vector<metrics::TokenSeq> exactDecodes;
-};
-
-/** One arm (warm or cold) of the session study. */
-struct SessionArm
-{
-    serve::FleetStatsSnapshot stats;
-    /// Per-model canonical loss of the concatenated turn decodes vs
-    /// the uninterrupted exact-baseline decodes.
-    std::vector<double> deliveredLossPct;
-    std::uint64_t evictions = 0;
-    bool accounted = true;
-};
-
-/**
- * Serve every session's turns through the fleet on a round-barrier
- * schedule: round t enqueues turn t of EVERY session (both models
- * interleaved, so panels mix models exactly like real fleet traffic)
- * and collects all of round t before round t+1 begins. Turn order
- * within a session is what the warm-start contract requires, and the
- * schedule is identical across arms, so the warm/cold difference is
- * the session store — not the workload or the slot pool.
- */
-SessionArm
-runSessionArm(std::vector<SessionModel> &models,
-              const serve::FleetOptions &options, bool warm)
-{
-    serve::ModelRegistry registry;
-    for (const SessionModel &model : models) {
-        serve::ModelSpec spec;
-        spec.name = model.name;
-        spec.network = model.workload->network.get();
-        spec.bnn = model.workload->bnn.get();
-        spec.memo.predictor = memo::PredictorKind::Bnn;
-        spec.memo.theta = 0.05;
-        registry.add(spec);
-    }
-    serve::FleetServer fleet(registry, options);
-
-    const std::size_t turn_count = models.front().turns.front().size();
-    std::vector<std::vector<nn::Sequence>> served(models.size());
-    for (std::size_t m = 0; m < models.size(); ++m)
-        served[m].resize(models[m].sessions.size());
-
-    std::size_t expected = 0;
-    for (std::size_t t = 0; t < turn_count; ++t) {
-        std::vector<std::future<serve::Response>> futures;
-        std::vector<std::pair<std::size_t, std::size_t>> origin;
-        for (std::size_t m = 0; m < models.size(); ++m) {
-            for (std::size_t s = 0; s < models[m].turns.size(); ++s) {
-                serve::Request request;
-                request.input = models[m].turns[s][t];
-                // The SAME id on both models, deliberately: sessions
-                // are keyed (model, id), so shared ids must never
-                // leak state across models. A leak would trip the
-                // steppers' shape asserts (the models differ in
-                // width) before it could corrupt a decode.
-                if (warm)
-                    request.sessionId =
-                        "session-" + std::to_string(s);
-                futures.push_back(fleet.enqueue(m, std::move(request)));
-                origin.emplace_back(m, s);
-            }
-        }
-        // Barrier: a session's next turn may only be submitted once
-        // this turn's future resolved (the store's checkout contract).
-        // Completion delivery happens after the snapshot is stored, so
-        // the resolved future guarantees the state is back in the
-        // store.
-        for (std::size_t i = 0; i < futures.size(); ++i) {
-            const serve::Response response =
-                serve::FleetServer::collect(futures[i]);
-            const auto [m, s] = origin[i];
-            served[m][s].insert(served[m][s].end(),
-                                response.output.begin(),
-                                response.output.end());
-            ++expected;
-        }
-    }
-    fleet.drain();
-
-    SessionArm arm;
-    arm.stats = fleet.fleetStats();
-    arm.evictions = fleet.sessionEvictions();
-    arm.accounted = arm.stats.aggregate.completed == expected;
-    for (std::size_t m = 0; m < models.size(); ++m) {
-        std::vector<metrics::TokenSeq> decodes;
-        decodes.reserve(served[m].size());
-        for (const nn::Sequence &outputs : served[m])
-            decodes.push_back(
-                models[m].evaluator->decodeSequence(outputs));
-        arm.deliveredLossPct.push_back(models[m].evaluator->scoreLoss(
-            models[m].exactDecodes, decodes));
-    }
-    return arm;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions options = bench::parseBenchArgs(
-        argc, argv,
-        "open-loop serving load: latency percentiles and goodput vs "
-        "offered load under continuous batching, at two theta mixes");
+    CliParser cli("open-loop serving load: latency percentiles and "
+                  "goodput vs offered load under continuous batching, at "
+                  "two theta mixes");
+    cli.addString("trace-out", "",
+                  "also run one telemetry-enabled load point and write "
+                  "its Chrome trace-event JSON here (load in Perfetto), "
+                  "printing the metrics exposition alongside");
+    const bench::ServingOptions options = bench::parseServingArgs(
+        cli, argc, argv, "one causal zoo network (default DeepSpeech2)",
+        1, 1);
+    const std::string trace_out = cli.getString("trace-out");
 
-    const std::string name =
-        options.networks.size() == 1 ? options.networks.front()
-                                     : "DeepSpeech2";
-    const std::size_t steps =
-        options.steps != 0 ? options.steps : (options.quick ? 6 : 20);
-    const std::size_t slots = options.quick ? 4 : 8;
-    const std::size_t request_count = options.quick ? 10 : 40;
+    const bench::OneModelStudy study =
+        bench::setupOneModelStudy(options, "serving_load");
+    const bench::LoadModel &model = study.models.front();
+    const serve::ModelRegistry registry = bench::registryOf(study.models);
+    // 3x saturated service + queue allowance: met comfortably below
+    // capacity, visibly missed above it.
+    const double deadline[] = {3.0 * model.serviceMs + 500.0};
 
-    workloads::NetworkSpec spec = workloads::specByName(name);
-    if (spec.rnn.bidirectional) {
-        std::printf("serving_load: %s is bidirectional; the step-major "
-                    "serving loop needs a causal stack. Pick IMDB, "
-                    "DeepSpeech2, or MNMT.\n",
-                    name.c_str());
-        return 1;
-    }
-
-    std::printf("serving_load: %s (%s), %zu-slot pool, %zu requests, "
-                "<=%zu steps/sequence\n",
-                name.c_str(), spec.rnn.describe().c_str(), slots,
-                request_count, steps);
-
-    // Corpus sized to the REQUEST set, not the slot pool: the autopilot
-    // ramp calibrates its accuracy curve on the tune split, and a
-    // slots-sized corpus (8 sequences x 20 steps = 160 frames) puts
-    // several loss points of sampling noise on every curve sample.
-    const auto workload =
-        workloads::buildWorkload(spec, steps, request_count);
-    nn::RnnNetwork &network = *workload->network;
-    nn::BinarizedNetwork &bnn = *workload->bnn;
-
-    Rng rng(2026);
-    const auto requests =
-        makeRaggedRequests(workload->testInputs, request_count, rng);
-    double mean_len = 0.0;
-    for (const auto &request : requests)
-        mean_len += static_cast<double>(request.size());
-    mean_len /= static_cast<double>(requests.size());
-
-    memo::MemoOptions memo_options;
-    memo_options.predictor = memo::PredictorKind::Bnn;
-    memo_options.theta = 0.05;
-
-    serve::ServerOptions server_options;
-    server_options.slots = slots;
-    server_options.queueCapacity =
-        std::max<std::size_t>(16, request_count);
-    server_options.memo = memo_options;
-
-    // Capacity calibration: closed-batch throughput of the same slot
-    // count on full-length inputs bounds what the server can sustain.
-    memo::BatchMemoEngine calibration(network, &bnn, memo_options);
-    const auto cal_inputs =
-        std::span<const nn::Sequence>(workload->testInputs)
-            .subspan(0, slots);
-    const auto cal_start = std::chrono::steady_clock::now();
-    network.forwardBatch(cal_inputs, calibration);
-    const double cal_sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      cal_start)
-            .count();
-    // Ragged requests average mean_len/steps of a full sequence.
-    const double capacity = static_cast<double>(slots) / cal_sec *
-                            (static_cast<double>(steps) / mean_len);
-    const double deadline_ms =
-        3.0 * 1000.0 * cal_sec / static_cast<double>(slots) +
-        500.0; // 3x ideal per-sequence service + queue allowance
-    std::printf("calibration: closed batch of %zu full sequences in "
-                "%.2fs -> ~%.2f ragged seq/s capacity; deadline %.0f ms"
-                "\n\n",
-                slots, cal_sec, capacity, deadline_ms);
-
-    // Two theta mixes (the >= 2 theta settings) x offered-load sweep.
-    struct ThetaMix
-    {
-        double lo, hi;
-    };
-    const ThetaMix mixes[] = {{0.01, 0.05}, {0.05, 0.20}};
+    // Two theta mixes (the >= 2 theta settings) x offered-load sweep;
+    // alternating thetas make mixed panels.
+    const double mixes[][2] = {{0.01, 0.05}, {0.05, 0.20}};
     const std::vector<double> load_multipliers =
         options.quick ? std::vector<double>{0.5, 1.2}
                       : std::vector<double>{0.4, 0.8, 1.4};
 
-    TablePrinter table("serving load sweep (" + name + ")");
-    table.setHeader({"theta mix", "offered/s", "completed/s",
-                     "goodput/s", "p50 ms", "p95 ms", "p99 ms",
-                     "mean queue ms", "reuse"});
-
-    std::vector<LoadPoint> points;
+    TablePrinter table("serving load sweep (" + model.spec.name + ")");
+    table.setHeader({"theta mix", "offered/s", "completed/s", "goodput/s",
+                     "p50 ms", "p95 ms", "p99 ms", "mean queue ms",
+                     "reuse"});
+    bool all_completed = true;
+    std::size_t completed = 0, offered_total = 0;
+    serve::StatsSnapshot last;
     std::uint64_t seed = 7;
-    for (const ThetaMix &mix : mixes) {
+    for (const auto &mix : mixes) {
+        const std::vector<std::vector<serve::Request>> requests = {
+            bench::makeRequests(model.inputs, mix, deadline)};
         for (const double multiplier : load_multipliers) {
-            const double offered = capacity * multiplier;
-            LoadPoint point;
-            point.thetaLo = mix.lo;
-            point.thetaHi = mix.hi;
-            point.offered = offered;
-            const double uniform_deadline[] = {deadline_ms};
-            point.stats =
-                runLoad(network, bnn, server_options, requests, mix.lo,
-                        mix.hi, offered, uniform_deadline, seed++);
-            points.push_back(point);
+            const double offered = study.capacity * multiplier;
+            serve::FleetServer fleet(registry, study.fleet);
+            const bench::Replay run =
+                bench::replay(fleet, requests, offered, seed++);
+            all_completed = all_completed && bench::accounted(run) &&
+                            run.completed == run.offered;
+            completed += run.completed;
+            offered_total += run.offered;
 
-            const serve::StatsSnapshot &s = point.stats;
-            table.addRow({formatDouble(mix.lo, 2) + "/" +
-                              formatDouble(mix.hi, 2),
+            last = run.stats.aggregate;
+            table.addRow({formatDouble(mix[0], 2) + "/" +
+                              formatDouble(mix[1], 2),
                           formatDouble(offered, 2),
-                          formatDouble(s.throughput(), 2),
-                          formatDouble(s.goodput(), 2),
-                          formatDouble(s.p50LatencyMs, 1),
-                          formatDouble(s.p95LatencyMs, 1),
-                          formatDouble(s.p99LatencyMs, 1),
-                          formatDouble(s.meanQueueMs, 1),
-                          formatPercent(s.meanReuse)});
+                          formatDouble(last.throughput(), 2),
+                          formatDouble(last.goodput(), 2),
+                          formatDouble(last.p50LatencyMs, 1),
+                          formatDouble(last.p95LatencyMs, 1),
+                          formatDouble(last.p99LatencyMs, 1),
+                          formatDouble(last.meanQueueMs, 1),
+                          formatPercent(last.meanReuse)});
         }
     }
     table.print("serving_load");
-
-    // The full aggregate report of the last (most loaded) point, through
-    // the same common/report path the server exposes programmatically.
+    const auto &last_mix = mixes[std::size(mixes) - 1];
     std::printf("\n%s\n",
-                points.back()
-                    .stats.report("last load point (theta mix " +
-                                      formatDouble(points.back().thetaLo,
-                                                   2) +
-                                      "/" +
-                                      formatDouble(points.back().thetaHi,
-                                                   2) +
-                                      ")",
-                                  "serving_load_last")
+                last.report("last load point (theta mix " +
+                                formatDouble(last_mix[0], 2) + "/" +
+                                formatDouble(last_mix[1], 2) + ")",
+                            "serving_load_last")
                     .c_str());
 
-    // ------------------------------------------------------------------
-    // Telemetry pass (--trace-out): one extra run at the heaviest load
-    // multiplier with the metrics registry + driver tracer enabled.
-    // The trace exports after stop() (the tracer's single-writer
-    // contract) and the exposition prints alongside, so CI can
-    // validate both artifacts. The sweep above is untouched: those
-    // runs construct no Telemetry object at all.
-    if (!options.traceOut.empty()) {
-        serve::ServerOptions traced_options = server_options;
-        traced_options.telemetry.metrics = true;
-        traced_options.telemetry.trace = true;
-        const double offered = capacity * load_multipliers.back();
+    // Telemetry pass: the heaviest load point again with the metrics
+    // registry and driver tracer on. The sweep above constructs no
+    // Telemetry object at all. The trace exports after stop() (the
+    // tracer's single-writer contract).
+    if (!trace_out.empty()) {
+        serve::FleetOptions traced = study.fleet;
+        traced.telemetry.metrics = true;
+        traced.telemetry.trace = true;
+        const double offered = study.capacity * load_multipliers.back();
         std::printf("\ntelemetry pass: offered %.2f/s, trace -> %s\n",
-                    offered, options.traceOut.c_str());
-        serve::Server server(network, &bnn, traced_options);
-        Rng trace_rng(seed++);
-        std::vector<std::future<serve::Response>> futures;
-        futures.reserve(requests.size());
-        auto next_arrival = serve::Clock::now();
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            const double gap_s =
-                -std::log(1.0 - trace_rng.uniform()) /
-                std::max(offered, 1e-9);
-            next_arrival += std::chrono::duration_cast<
-                serve::Clock::duration>(
-                std::chrono::duration<double>(gap_s));
-            std::this_thread::sleep_until(next_arrival);
-            serve::Request request;
-            request.input = requests[i];
-            request.theta = i % 2 == 0 ? 0.01 : 0.05;
-            request.deadlineMs = deadline_ms;
-            futures.push_back(server.enqueue(std::move(request)));
-        }
-        server.drain();
-        for (auto &future : futures) {
-            try {
-                serve::Server::collect(future);
-            } catch (const serve::ShedError &) {
-            }
-        }
-        server.stop();
-        const serve::Telemetry *telemetry = server.telemetry();
+                    offered, trace_out.c_str());
+        const std::vector<std::vector<serve::Request>> requests = {
+            bench::makeRequests(model.inputs, mixes[0], deadline)};
+        serve::FleetServer fleet(registry, traced);
+        const bench::Replay run =
+            bench::replay(fleet, requests, offered, seed++);
+        all_completed = all_completed && bench::accounted(run) &&
+                        run.completed == run.offered;
+        fleet.stop();
+        const serve::Telemetry *telemetry = fleet.telemetry();
         nlfm_assert(telemetry != nullptr && telemetry->tracer(),
                     "telemetry pass constructed without telemetry");
-        std::FILE *trace_file =
-            std::fopen(options.traceOut.c_str(), "w");
-        if (trace_file) {
-            const std::string trace_json = telemetry->traceJson();
-            std::fwrite(trace_json.data(), 1, trace_json.size(),
-                        trace_file);
-            std::fclose(trace_file);
-            std::printf("wrote %s (%llu spans recorded, %llu "
-                        "dropped)\n",
-                        options.traceOut.c_str(),
-                        static_cast<unsigned long long>(
-                            telemetry->tracer()->recorded()),
-                        static_cast<unsigned long long>(
-                            telemetry->tracer()->dropped()));
-        } else {
-            std::printf("could not open %s for writing\n",
-                        options.traceOut.c_str());
+        std::FILE *trace_file = std::fopen(trace_out.c_str(), "w");
+        if (trace_file == nullptr) {
+            std::fprintf(stderr, "could not open %s for writing\n",
+                         trace_out.c_str());
+            return 1;
         }
+        const std::string trace_json = telemetry->traceJson();
+        const bool written = std::fwrite(trace_json.data(), 1,
+                                         trace_json.size(), trace_file) ==
+                             trace_json.size();
+        if (std::fclose(trace_file) != 0 || !written) {
+            std::fprintf(stderr, "could not write %s\n", trace_out.c_str());
+            return 1;
+        }
+        std::printf("wrote %s (%llu spans recorded, %llu dropped)\n",
+                    trace_out.c_str(),
+                    static_cast<unsigned long long>(
+                        telemetry->tracer()->recorded()),
+                    static_cast<unsigned long long>(
+                        telemetry->tracer()->dropped()));
         std::printf("\nmetrics exposition (traced load point):\n%s\n",
                     telemetry->registry().exposition().c_str());
     }
 
-    // ------------------------------------------------------------------
-    // Admission-policy sweep (--admission-sweep): FIFO vs EDF +
-    // predictive + expired shedding on a tight/loose deadline mix, at
-    // and beyond the queueing knee. The EDF server's calibration is
-    // the same closed-batch measurement the load multipliers use,
-    // reduced to a per-step cost.
-    bool admission_accounted = true;
-    struct PolicyPoint
-    {
-        double multiplier = 0.0;
-        double offered = 0.0;
-        serve::StatsSnapshot fifo;
-        serve::StatsSnapshot edf;
-    };
-    std::vector<PolicyPoint> policy_points;
-    const double step_cost_ms =
-        1000.0 * cal_sec / static_cast<double>(slots) /
-        static_cast<double>(steps);
-    const double service_ms =
-        1000.0 * cal_sec / static_cast<double>(slots);
-    // Tight deadlines miss as soon as queueing sets in; loose ones
-    // only at deep backlogs. FIFO cannot tell them apart; EDF serves
-    // tight first and predictive shedding stops burning slots on the
-    // provably lost. The tight bound budgets several times the
-    // closed-batch service estimate because open-loop service is
-    // occupancy-dependent (a loaded tick steps every live slot): it
-    // must be meetable when prioritized, or no queue order can help.
-    const double deadline_mix[] = {6.0 * service_ms,
-                                   20.0 * service_ms + 400.0};
-    if (options.admissionSweep) {
-        std::printf("\nadmission-policy sweep: deadline mix %.0f/%.0f "
-                    "ms, step cost %.3f ms\n",
-                    deadline_mix[0], deadline_mix[1], step_cost_ms);
-        serve::ServerOptions edf_options = server_options;
-        edf_options.queuePolicy = serve::QueuePolicy::Edf;
-        edf_options.shedExpired = true;
-        edf_options.shedPredicted = true;
-        edf_options.calibratedStepCostMs = step_cost_ms;
-
-        TablePrinter policy_table("FIFO vs EDF+predictive (" + name +
-                                  ")");
-        policy_table.setHeader({"policy", "offered/s", "completed/s",
-                                "goodput/s", "met", "shed",
-                                "shed pred", "p99 ms"});
-        const std::vector<double> policy_multipliers =
-            options.quick ? std::vector<double>{1.3}
-                          : std::vector<double>{1.2, 2.0, 3.0};
-        for (const double multiplier : policy_multipliers) {
-            PolicyPoint point;
-            point.multiplier = multiplier;
-            point.offered = capacity * multiplier;
-            // Same seed for both policies: identical arrival times and
-            // request mix, so the goodput difference is the policy,
-            // not Poisson luck.
-            point.fifo = runLoad(network, bnn, server_options, requests,
-                                 0.05, 0.05, point.offered,
-                                 deadline_mix, seed);
-            point.edf = runLoad(network, bnn, edf_options, requests,
-                                0.05, 0.05, point.offered, deadline_mix,
-                                seed);
-            ++seed;
-            for (const auto *snap : {&point.fifo, &point.edf}) {
-                policy_table.addRow(
-                    {snap == &point.fifo ? "fifo" : "edf+shed",
-                     formatDouble(point.offered, 2),
-                     formatDouble(snap->throughput(), 2),
-                     formatDouble(snap->goodput(), 2),
-                     std::to_string(snap->deadlineMet),
-                     std::to_string(snap->shed),
-                     std::to_string(snap->shedPredicted),
-                     formatDouble(snap->p99LatencyMs, 1)});
-                if (snap->completed + snap->shed != requests.size())
-                    admission_accounted = false;
-            }
-            policy_points.push_back(point);
-        }
-        policy_table.print("serving_load_policy");
-        for (const PolicyPoint &point : policy_points)
-            std::printf("goodput at %.1fx: fifo %.2f/s vs "
-                        "edf+predictive %.2f/s (%+.0f%%)\n",
-                        point.multiplier, point.fifo.goodput(),
-                        point.edf.goodput(),
-                        point.fifo.goodput() > 0.0
-                            ? 100.0 * (point.edf.goodput() /
-                                           point.fifo.goodput() -
-                                       1.0)
-                            : 0.0);
-
-        if (!options.quick) {
-            // Scratch name, not BENCH_PR5.json: the checked-in file
-            // also carries the hand-merged bench_multi_model_load
-            // --cost-aware fleet section, which a rerun here must not
-            // silently delete.
-            std::FILE *json =
-                std::fopen("BENCH_PR5_serving.json", "w");
-            if (json) {
-                std::fprintf(json, "{\n  \"pr\": 5,\n");
-                std::fprintf(
-                    json,
-                    "  \"title\": \"Deadline-aware admission: EDF "
-                    "queues, predictive shedding, cost-aware DRR\",\n");
-                std::fprintf(json,
-                             "  \"bench\": \"bench_serving_load "
-                             "--admission-sweep (full mode)\",\n");
-                std::fprintf(
-                    json,
-                    "  \"serving\": {\n    \"network\": \"%s\", "
-                    "\"slots\": %zu, \"requests\": %zu, \"steps\": "
-                    "%zu, \"theta\": 0.05,\n",
-                    name.c_str(), slots, requests.size(), steps);
-                std::fprintf(
-                    json,
-                    "    \"calibration\": { \"closed_batch_sec\": "
-                    "%.3f, \"capacity_seq_per_s\": %.2f, "
-                    "\"step_cost_ms\": %.3f, \"deadline_mix_ms\": "
-                    "[%.0f, %.0f] },\n",
-                    cal_sec, capacity, step_cost_ms, deadline_mix[0],
-                    deadline_mix[1]);
-                std::fprintf(json, "    \"fifo_vs_edf\": [\n");
-                for (std::size_t p = 0; p < policy_points.size(); ++p) {
-                    const PolicyPoint &point = policy_points[p];
-                    std::fprintf(
-                        json,
-                        "      { \"multiplier\": %.1f, "
-                        "\"offered_per_s\": %.2f,\n"
-                        "        \"fifo\": { \"goodput_per_s\": %.2f, "
-                        "\"deadline_met\": %zu, \"shed\": %zu, "
-                        "\"p99_ms\": %.1f },\n"
-                        "        \"edf_predictive\": { "
-                        "\"goodput_per_s\": %.2f, \"deadline_met\": "
-                        "%zu, \"shed\": %zu, \"shed_predicted\": %zu, "
-                        "\"p99_ms\": %.1f },\n"
-                        "        \"goodput_ratio\": %.2f }%s\n",
-                        point.multiplier, point.offered,
-                        point.fifo.goodput(), point.fifo.deadlineMet,
-                        point.fifo.shed, point.fifo.p99LatencyMs,
-                        point.edf.goodput(), point.edf.deadlineMet,
-                        point.edf.shed, point.edf.shedPredicted,
-                        point.edf.p99LatencyMs,
-                        point.fifo.goodput() > 0.0
-                            ? point.edf.goodput() / point.fifo.goodput()
-                            : 0.0,
-                        p + 1 < policy_points.size() ? "," : "");
-                }
-                std::fprintf(json, "    ]\n  },\n");
-                std::fprintf(
-                    json,
-                    "  \"acceptance\": { \"requirement\": "
-                    "\"EDF+predictive goodput >= FIFO goodput at >= "
-                    "1.2x calibrated capacity; defaults bit-identical "
-                    "to PR 4 (tests/serve_test.cc, "
-                    "tests/fleet_test.cc unmodified)\", "
-                    "\"fleet_fairness\": \"bench_multi_model_load "
-                    "--cost-aware, recorded below after a manual "
-                    "run\" }\n}\n");
-                std::fclose(json);
-                std::printf("wrote BENCH_PR5_serving.json (merge with "
-                            "the bench_multi_model_load --cost-aware "
-                            "fairness numbers into BENCH_PR5.json)\n");
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Theta-autopilot ramp (--autopilot-ramp): fixed default theta vs
-    // the closed-loop ThetaController on seed-paired arrivals.
-    bool autopilot_accounted = true;
-    if (options.autopilotRamp) {
-        // Offline curve: the CANONICAL tune sweep — serial memo engine
-        // on the tune split, scored with the workload's task metric.
-        // This is exactly the §3.2.1 calibration artifact every figure
-        // bench produces; the autopilot consumes it as its accuracy
-        // bound, and the ramp then verifies DELIVERED accuracy on the
-        // served (test-split) traffic with the same metric.
-        const double max_loss_pct = 5.0;
-        workloads::WorkloadEvaluator wl_evaluator(*workload);
-        const auto exact_outputs =
-            network.forwardBatchBaseline(requests);
-        std::vector<metrics::TokenSeq> exact_decodes;
-        exact_decodes.reserve(exact_outputs.size());
-        for (const auto &outputs : exact_outputs)
-            exact_decodes.push_back(
-                wl_evaluator.decodeSequence(outputs));
-
-        const auto curve_thetas =
-            bench::thetaGrid(spec, options.quick ? 5 : 13);
-        const std::vector<memo::TunePoint> curve_points =
-            bench::runSweep(wl_evaluator, memo::PredictorKind::Bnn,
-                            /*throttle=*/true, workloads::Split::Tune,
-                            curve_thetas);
-        TablePrinter curve_table("autopilot curve calibration (" +
-                                 name + ")");
-        curve_table.setHeader({"theta", "reuse", "loss %"});
-        for (const memo::TunePoint &point : curve_points)
-            curve_table.addRow({formatDouble(point.theta, 3),
-                                formatPercent(point.reuse),
-                                formatDouble(point.accuracyLoss, 2)});
-        std::printf("\n");
-        curve_table.print("serving_load_autopilot_curve");
-
-        // The fixed arm serves at the theta this sweep tunes for a
-        // conservative 1% loss target — the operating point a quality-
-        // first deployment would pick. The autopilot may spend the
-        // remaining budget only under pressure.
-        const bench::TunedPoint operating =
-            bench::selectFromSweep(curve_points, 1.0);
-        memo_options.theta = operating.theta;
-        server_options.memo.theta = operating.theta;
-
-        // The controller's bound is ADDITIONAL loss over that operating
-        // point, not absolute loss: the fixed arm's quality is what the
-        // deployment already delivers (including the predictor's
-        // irreducible substitution error at theta ~ 0, several loss
-        // points on the synthetic corpora), and the autopilot's promise
-        // is "at most max_loss_pct worse than that, and only under
-        // pressure". Feeding absolute losses to the prefix-conservative
-        // curve would charge that floor against the budget and strand
-        // the controller at the default on any workload whose metric
-        // has a noise floor.
-        std::vector<memo::TunePoint> relative_points = curve_points;
-        for (memo::TunePoint &point : relative_points)
-            point.accuracyLoss = std::max(
-                0.0, point.accuracyLoss - operating.tuneLoss);
-
-        const memo::TuneCurve curve =
-            memo::TuneCurve::fromPoints(relative_points);
-        const auto ceiling = curve.maxThetaForLoss(max_loss_pct);
-        if (!ceiling || *ceiling <= memo_options.theta) {
-            // No curve point above the default qualifies — the
-            // controller would have nothing to trade. Honest skip (the
-            // quick-mode topologies can land here), not a failure.
-            std::printf("autopilot ramp skipped: no curve headroom "
-                        "above theta %.3f within +%.1f%% loss\n",
-                        memo_options.theta, max_loss_pct);
-        } else {
-            std::printf("autopilot: fixed arm at tuned theta %.3f "
-                        "(%.2f%% tune loss at the 1%% target); budget "
-                        "+%.1f%% additional loss allows theta <= "
-                        "%.3f\n",
-                        operating.theta, operating.tuneLoss,
-                        max_loss_pct, *ceiling);
-
-            // Both arms share the full deadline-aware admission stack;
-            // the ONLY difference is the controller.
-            serve::ServerOptions fixed_options = server_options;
-            fixed_options.queuePolicy = serve::QueuePolicy::Edf;
-            fixed_options.shedExpired = true;
-            fixed_options.shedPredicted = true;
-            fixed_options.calibratedStepCostMs = step_cost_ms;
-
-            serve::ServerOptions auto_options = fixed_options;
-            auto_options.autopilot.enabled = true;
-            auto_options.autopilot.curve = curve;
-            auto_options.autopilot.maxAccuracyLoss = max_loss_pct;
-            // Fast control relative to the burst drain (tens of ms):
-            // the ladder must be climbable within one episode.
-            auto_options.autopilot.controlIntervalMs = 5.0;
-
-            struct RampPoint
-            {
-                double multiplier = 0.0;
-                double offered = 0.0;
-                RampResult fixed;
-                RampResult autopilot;
-            };
-            std::vector<RampPoint> ramp_points;
-            // Just past capacity through moderate overload (the ISSUE's
-            // 2-3x band). Deeper ramps (5x+) mostly measure which
-            // unsavable requests the shedder happened to pick — the
-            // controller's headroom is noise there.
-            const std::vector<double> ramp_multipliers =
-                options.quick ? std::vector<double>{1.5}
-                              : std::vector<double>{1.5, 2.0, 3.0};
-
-            // Tile the request set: a 40-request burst drains before a
-            // sustained backlog forms, which would leave the controller
-            // nothing to react to. Three times the set holds the queue
-            // past several control intervals.
-            const std::size_t tiles = options.quick ? 1 : 3;
-            std::vector<nn::Sequence> ramp_requests;
-            std::vector<metrics::TokenSeq> ramp_decodes;
-            ramp_requests.reserve(requests.size() * tiles);
-            ramp_decodes.reserve(requests.size() * tiles);
-            for (std::size_t tile = 0; tile < tiles; ++tile) {
-                ramp_requests.insert(ramp_requests.end(),
-                                     requests.begin(), requests.end());
-                ramp_decodes.insert(ramp_decodes.end(),
-                                    exact_decodes.begin(),
-                                    exact_decodes.end());
-            }
-            // Queue must hold the whole tiled burst: enqueue-side
-            // backpressure would throttle arrivals and break the
-            // open-loop contract of the ramp.
-            fixed_options.queueCapacity = std::max(
-                fixed_options.queueCapacity, ramp_requests.size());
-            auto_options.queueCapacity = fixed_options.queueCapacity;
-
-            // Deadline sized to the BURST, not to one request: ~60% of
-            // the fixed-theta drain time of the whole tiled set. Every
-            // request a faster drain pulls under the wire is a goodput
-            // win, so the deadline is sensitive to the reuse speedup
-            // across its whole range — unlike the admission sweep's
-            // per-request mix, whose tight half is unwinnable under a
-            // burst (lost at any theta) and whose loose half is never
-            // at risk.
-            const double ramp_deadline[] = {
-                0.6 * 1000.0 *
-                static_cast<double>(ramp_requests.size()) / capacity};
-            std::printf("ramp deadline: %.0f ms (0.6x the %zu-request "
-                        "burst drain at calibrated capacity)\n",
-                        ramp_deadline[0], ramp_requests.size());
-
-            TablePrinter ramp_table("fixed theta vs autopilot (" +
-                                    name + ")");
-            ramp_table.setHeader({"arm", "offered/s", "goodput/s",
-                                  "met", "shed", "loss %",
-                                  "mean theta", "max floor"});
-            // Replicated paired runs: wall-clock deadlines on a shared
-            // machine put tens of met-counts of noise on a single
-            // episode (a scheduler stall during one arm skews only that
-            // arm). Each load point runs rep_count seed-paired pairs
-            // and reports the pair with the MEDIAN autopilot-minus-
-            // fixed met delta — the representative outcome, immune to
-            // a single stalled episode on either side.
-            const std::size_t rep_count = options.quick ? 1 : 3;
-            for (const double multiplier : ramp_multipliers) {
-                RampPoint point;
-                point.multiplier = multiplier;
-                point.offered = capacity * multiplier;
-                std::vector<RampPoint> reps;
-                for (std::size_t rep = 0; rep < rep_count; ++rep) {
-                    RampPoint candidate = point;
-                    // Seed-paired arrivals: within a pair the goodput
-                    // difference is the controller, not Poisson luck.
-                    candidate.fixed = runRamp(
-                        network, bnn, wl_evaluator, fixed_options,
-                        ramp_requests, ramp_decodes, point.offered,
-                        ramp_deadline, seed);
-                    candidate.autopilot = runRamp(
-                        network, bnn, wl_evaluator, auto_options,
-                        ramp_requests, ramp_decodes, point.offered,
-                        ramp_deadline, seed);
-                    ++seed;
-                    reps.push_back(std::move(candidate));
-                }
-                std::sort(reps.begin(), reps.end(),
-                          [](const RampPoint &a, const RampPoint &b) {
-                              const auto delta =
-                                  [](const RampPoint &p) {
-                                      return static_cast<long>(
-                                                 p.autopilot.stats
-                                                     .deadlineMet) -
-                                             static_cast<long>(
-                                                 p.fixed.stats
-                                                     .deadlineMet);
-                                  };
-                              return delta(a) < delta(b);
-                          });
-                point = reps[reps.size() / 2];
-                for (const RampResult *arm :
-                     {&point.fixed, &point.autopilot}) {
-                    const serve::StatsSnapshot &s = arm->stats;
-                    ramp_table.addRow(
-                        {arm == &point.fixed ? "fixed" : "autopilot",
-                         formatDouble(point.offered, 2),
-                         formatDouble(s.goodput(), 2),
-                         std::to_string(s.deadlineMet),
-                         std::to_string(s.shed),
-                         formatDouble(arm->deliveredLossPct, 2),
-                         formatDouble(arm->meanServedTheta, 3),
-                         formatDouble(arm->maxFloor, 3)});
-                    if (s.completed + s.shed != ramp_requests.size())
-                        autopilot_accounted = false;
-                }
-                ramp_points.push_back(point);
-            }
-            ramp_table.print("serving_load_autopilot");
-
-            // Acceptance summary. Deadline-met COUNTS, not goodput()
-            // rates: the two arms' measured walls end at each arm's own
-            // last event, so the rate denominators differ (see
-            // tests/theta_controller_test.cc, ShedTruncatedWindow).
-            bool goodput_up = true, accuracy_ok = true,
-                 sheds_down = true;
-            for (const RampPoint &point : ramp_points) {
-                if (point.autopilot.stats.deadlineMet <
-                    point.fixed.stats.deadlineMet)
-                    goodput_up = false;
-                if (point.autopilot.deliveredLossPct >
-                    point.fixed.deliveredLossPct + max_loss_pct)
-                    accuracy_ok = false;
-                if (point.autopilot.stats.shed >
-                    point.fixed.stats.shed)
-                    sheds_down = false;
-                std::printf(
-                    "ramp %.1fx: deadline met %zu -> %zu, shed %zu -> "
-                    "%zu, delivered loss %.2f%% -> %.2f%% (budget "
-                    "+%.2f%%), max floor %.3f\n",
-                    point.multiplier, point.fixed.stats.deadlineMet,
-                    point.autopilot.stats.deadlineMet,
-                    point.fixed.stats.shed, point.autopilot.stats.shed,
-                    point.fixed.deliveredLossPct,
-                    point.autopilot.deliveredLossPct, max_loss_pct,
-                    point.autopilot.maxFloor);
-            }
-            std::printf("autopilot acceptance: goodput %s, accuracy "
-                        "%s, sheds %s\n",
-                        goodput_up ? "up" : "NOT up",
-                        accuracy_ok ? "within budget" : "VIOLATED",
-                        sheds_down ? "down" : "NOT down");
-
-            if (!options.quick) {
-                const std::string out_path =
-                    options.out.empty() ? "BENCH_PR6.json" : options.out;
-                std::FILE *json = std::fopen(out_path.c_str(), "w");
-                if (json) {
-                    std::fprintf(json, "{\n  \"pr\": 6,\n");
-                    std::fprintf(
-                        json,
-                        "  \"title\": \"Theta autopilot: SLO-driven "
-                        "accuracy/throughput control\",\n");
-                    std::fprintf(json,
-                                 "  \"bench\": \"bench_serving_load "
-                                 "--networks %s --steps %zu "
-                                 "--autopilot-ramp (full mode)\",\n",
-                                 name.c_str(), steps);
-                    std::fprintf(
-                        json,
-                        "  \"serving\": {\n    \"network\": \"%s\", "
-                        "\"slots\": %zu, \"requests\": %zu, "
-                        "\"ramp_requests\": %zu, \"steps\": %zu, "
-                        "\"default_theta\": %.2f,\n",
-                        name.c_str(), slots, requests.size(),
-                        ramp_requests.size(), steps,
-                        memo_options.theta);
-                    std::fprintf(
-                        json,
-                        "    \"calibration\": { \"capacity_seq_per_s\": "
-                        "%.2f, \"step_cost_ms\": %.3f, "
-                        "\"max_additional_loss_pct\": %.1f, "
-                        "\"operating_tune_loss_pct\": %.2f, "
-                        "\"theta_ceiling\": %.3f,\n      \"curve\": [",
-                        capacity, step_cost_ms, max_loss_pct,
-                        operating.tuneLoss, *ceiling);
-                    for (std::size_t i = 0; i < curve_points.size(); ++i)
-                        std::fprintf(
-                            json,
-                            "%s{ \"theta\": %.3f, \"reuse\": %.3f, "
-                            "\"loss_pct\": %.2f }",
-                            i == 0 ? "" : ", ", curve_points[i].theta,
-                            curve_points[i].reuse,
-                            curve_points[i].accuracyLoss);
-                    std::fprintf(json, "] },\n");
-                    std::fprintf(json, "    \"ramp\": [\n");
-                    for (std::size_t p = 0; p < ramp_points.size();
-                         ++p) {
-                        const RampPoint &point = ramp_points[p];
-                        const auto arm_json =
-                            [&](const char *label,
-                                const RampResult &arm,
-                                const char *tail) {
-                                std::fprintf(
-                                    json,
-                                    "        \"%s\": { "
-                                    "\"goodput_per_s\": %.2f, "
-                                    "\"deadline_met\": %zu, \"shed\": "
-                                    "%zu, \"shed_predicted\": %zu, "
-                                    "\"delivered_loss_pct\": %.2f, "
-                                    "\"mean_theta\": %.3f, "
-                                    "\"max_floor\": %.3f }%s\n",
-                                    label, arm.stats.goodput(),
-                                    arm.stats.deadlineMet,
-                                    arm.stats.shed,
-                                    arm.stats.shedPredicted,
-                                    arm.deliveredLossPct,
-                                    arm.meanServedTheta, arm.maxFloor,
-                                    tail);
-                            };
-                        std::fprintf(
-                            json,
-                            "      { \"multiplier\": %.1f, "
-                            "\"offered_per_s\": %.2f,\n",
-                            point.multiplier, point.offered);
-                        arm_json("fixed", point.fixed, ",");
-                        arm_json("autopilot", point.autopilot, " }");
-                        std::fprintf(
-                            json, "%s",
-                            p + 1 < ramp_points.size() ? ",\n" : "\n");
-                    }
-                    std::fprintf(json, "    ]\n  },\n");
-                    std::fprintf(
-                        json,
-                        "  \"acceptance\": { \"goodput_up\": %s, "
-                        "\"accuracy_within_budget\": %s, "
-                        "\"sheds_down\": %s, \"requirement\": "
-                        "\"autopilot deadline-met counts >= fixed "
-                        "theta on seed-paired arrivals; delivered "
-                        "canonical loss <= fixed arm's + max_loss_pct; "
-                        "sheds fall before the controller saturates; "
-                        "defaults (autopilot off) bit-identical to "
-                        "PR 5\" "
-                        "}\n}\n",
-                        goodput_up ? "true" : "false",
-                        accuracy_ok ? "true" : "false",
-                        sheds_down ? "true" : "false");
-                    std::fclose(json);
-                    std::printf("wrote %s\n", out_path.c_str());
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Multi-turn session study (--session-turns): warm (session-
-    // tagged) vs cold arms of the identical turn schedule on a
-    // DeepSpeech2 + IMDB fleet.
-    bool session_accounted = true;
-    if (options.sessionTurns) {
-        const std::size_t session_count = options.quick ? 3 : 10;
-        const std::size_t turn_count = 3;
-        const std::size_t session_slots = options.quick ? 4 : 8;
-        const std::vector<std::string> session_names = {"DeepSpeech2",
-                                                        "IMDB"};
-        std::printf("\nsession study: %zu sessions/model x %zu turns "
-                    "(%zu steps/session), %zu-slot fleet\n",
-                    session_count, turn_count, steps, session_slots);
-
-        std::vector<SessionModel> session_models;
-        for (const std::string &model_name : session_names) {
-            SessionModel model;
-            model.name = model_name;
-            model.workload = workloads::buildWorkload(
-                workloads::specByName(model_name), steps,
-                session_count);
-            model.evaluator =
-                std::make_unique<workloads::WorkloadEvaluator>(
-                    *model.workload);
-            model.sessions = model.workload->testInputs;
-            // The uninterrupted baseline: exact forward over each FULL
-            // session. Both arms are scored against it, so the cold
-            // arm's extra loss is exactly the cost of restarting the
-            // recurrent state at every turn boundary.
-            const auto exact_outputs =
-                model.workload->network->forwardBatchBaseline(
-                    model.sessions);
-            for (const auto &outputs : exact_outputs)
-                model.exactDecodes.push_back(
-                    model.evaluator->decodeSequence(outputs));
-            // Contiguous turns; the last takes the remainder.
-            for (const nn::Sequence &session : model.sessions) {
-                nlfm_assert(session.size() >= turn_count,
-                            "session shorter than the turn count");
-                const std::size_t base_len =
-                    session.size() / turn_count;
-                std::vector<nn::Sequence> turns;
-                std::size_t begin = 0;
-                for (std::size_t t = 0; t < turn_count; ++t) {
-                    const std::size_t len = t + 1 == turn_count
-                                                ? session.size() - begin
-                                                : base_len;
-                    turns.emplace_back(
-                        session.begin() + static_cast<long>(begin),
-                        session.begin() +
-                            static_cast<long>(begin + len));
-                    begin += len;
-                }
-                model.turns.push_back(std::move(turns));
-            }
-            session_models.push_back(std::move(model));
-        }
-
-        serve::FleetOptions session_options;
-        session_options.slots = session_slots;
-        session_options.queueCapacity =
-            std::max<std::size_t>(16, session_count);
-        // Capacity sized to the working set: the study measures the
-        // warm-start mechanism, not LRU pressure (that contract is
-        // pinned by tests/session_test.cc, EvictedSessionFallsBackCold).
-        session_options.sessionCapacity = session_count;
-
-        const SessionArm cold =
-            runSessionArm(session_models, session_options,
-                          /*warm=*/false);
-        const SessionArm warm =
-            runSessionArm(session_models, session_options,
-                          /*warm=*/true);
-        session_accounted = cold.accounted && warm.accounted;
-
-        TablePrinter session_table("cold vs warm-start sessions");
-        session_table.setHeader({"model", "arm", "reuse",
-                                 "delivered loss %", "warm resumed",
-                                 "p95 ms"});
-        const std::size_t expected_resumes =
-            session_count * (turn_count - 1);
-        bool resumes_complete = true;
-        bool reuse_up = true;
-        for (std::size_t m = 0; m < session_models.size(); ++m) {
-            const serve::StatsSnapshot &c = cold.stats.perModel[m];
-            const serve::StatsSnapshot &w = warm.stats.perModel[m];
-            session_table.addRow(
-                {session_models[m].name, "cold",
-                 formatPercent(c.meanReuse),
-                 formatDouble(cold.deliveredLossPct[m], 2),
-                 std::to_string(c.warmResumed),
-                 formatDouble(c.p95LatencyMs, 1)});
-            session_table.addRow(
-                {session_models[m].name, "warm",
-                 formatPercent(w.meanReuse),
-                 formatDouble(warm.deliveredLossPct[m], 2),
-                 std::to_string(w.warmResumed) + "/" +
-                     std::to_string(expected_resumes),
-                 formatDouble(w.p95LatencyMs, 1)});
-            if (w.warmResumed != expected_resumes ||
-                c.warmResumed != 0)
-                resumes_complete = false;
-            if (w.meanReuse < c.meanReuse)
-                reuse_up = false;
-            std::printf("session study %s: reuse %s -> %s (%+.1f pts), "
-                        "delivered loss %.2f%% -> %.2f%% (%+.2f pts)\n",
-                        session_models[m].name.c_str(),
-                        bench::pct(c.meanReuse).c_str(),
-                        bench::pct(w.meanReuse).c_str(),
-                        100.0 * (w.meanReuse - c.meanReuse),
-                        cold.deliveredLossPct[m],
-                        warm.deliveredLossPct[m],
-                        warm.deliveredLossPct[m] -
-                            cold.deliveredLossPct[m]);
-        }
-        session_table.print("serving_load_sessions");
-        std::printf("session acceptance: warm resumes %s, reuse %s, "
-                    "evictions %llu (expected 0)\n",
-                    resumes_complete ? "complete" : "INCOMPLETE",
-                    reuse_up ? "up" : "NOT up",
-                    static_cast<unsigned long long>(warm.evictions));
-        session_accounted =
-            session_accounted && resumes_complete && reuse_up;
-
-        if (!options.quick) {
-            const std::string out_path =
-                options.out.empty() ? "BENCH_PR8.json" : options.out;
-            std::FILE *json = std::fopen(out_path.c_str(), "w");
-            if (json) {
-                std::fprintf(json, "{\n  \"pr\": 8,\n");
-                std::fprintf(
-                    json,
-                    "  \"title\": \"Cross-request warm-start "
-                    "memoization: session-scoped neuron state\",\n");
-                std::fprintf(json,
-                             "  \"bench\": \"bench_serving_load "
-                             "--session-turns (full mode)\",\n");
-                std::fprintf(
-                    json,
-                    "  \"session_study\": {\n    \"sessions_per_model"
-                    "\": %zu, \"turns_per_session\": %zu, "
-                    "\"steps_per_session\": %zu, \"slots\": %zu, "
-                    "\"default_theta\": 0.05,\n    \"per_model\": [\n",
-                    session_count, turn_count, steps, session_slots);
-                for (std::size_t m = 0; m < session_models.size();
-                     ++m) {
-                    const serve::StatsSnapshot &c =
-                        cold.stats.perModel[m];
-                    const serve::StatsSnapshot &w =
-                        warm.stats.perModel[m];
-                    std::fprintf(
-                        json,
-                        "      { \"model\": \"%s\",\n"
-                        "        \"cold\": { \"mean_reuse\": %.3f, "
-                        "\"delivered_loss_pct\": %.2f, "
-                        "\"p95_ms\": %.1f },\n"
-                        "        \"warm\": { \"mean_reuse\": %.3f, "
-                        "\"delivered_loss_pct\": %.2f, "
-                        "\"p95_ms\": %.1f, \"warm_resumed\": %zu, "
-                        "\"expected_warm_resumed\": %zu },\n"
-                        "        \"reuse_uplift_pts\": %.1f, "
-                        "\"delivered_loss_delta_pts\": %.2f }%s\n",
-                        session_models[m].name.c_str(), c.meanReuse,
-                        cold.deliveredLossPct[m], c.p95LatencyMs,
-                        w.meanReuse, warm.deliveredLossPct[m],
-                        w.p95LatencyMs, w.warmResumed,
-                        expected_resumes,
-                        100.0 * (w.meanReuse - c.meanReuse),
-                        warm.deliveredLossPct[m] -
-                            cold.deliveredLossPct[m],
-                        m + 1 < session_models.size() ? "," : "");
-                }
-                std::fprintf(
-                    json,
-                    "    ],\n    \"aggregate\": { "
-                    "\"cold_mean_reuse\": %.3f, \"warm_mean_reuse\": "
-                    "%.3f, \"warm_resumed\": %zu, "
-                    "\"session_evictions\": %llu }\n  },\n",
-                    cold.stats.aggregate.meanReuse,
-                    warm.stats.aggregate.meanReuse,
-                    warm.stats.aggregate.warmResumed,
-                    static_cast<unsigned long long>(warm.evictions));
-                std::fprintf(
-                    json,
-                    "  \"acceptance\": { \"warm_resumes_complete\": "
-                    "%s, \"reuse_up\": %s, \"requirement\": \"every "
-                    "turn after the first of a session-tagged request "
-                    "warm-resumes; warm reuse >= cold reuse per "
-                    "model; untagged traffic bit-identical "
-                    "(tests/serve_test.cc RecycledSlotStartsCold, "
-                    "tests/fleet_test.cc "
-                    "CrossModelSlotRecyclingStartsCold unmodified); "
-                    "warm-resume bit-identity pinned by "
-                    "tests/session_test.cc\" }\n}\n",
-                    resumes_complete ? "true" : "false",
-                    reuse_up ? "true" : "false");
-                std::fclose(json);
-                std::printf("wrote %s\n", out_path.c_str());
-            }
-        }
-    }
-
-    // Sanity line for the CI smoke run: every request completed (or,
-    // in the policy sweep, was shed by an admission policy).
-    std::size_t completed = 0;
-    for (const LoadPoint &point : points)
-        completed += point.stats.completed;
-    std::printf(
-        "completed %zu/%zu requests across %zu load points%s%s%s\n",
-        completed, points.size() * requests.size(), points.size(),
-        admission_accounted ? "" : "; POLICY SWEEP LOST REQUESTS",
-        autopilot_accounted ? "" : "; AUTOPILOT RAMP LOST REQUESTS",
-        session_accounted ? "" : "; SESSION STUDY FAILED");
-    return completed == points.size() * requests.size() &&
-                   admission_accounted && autopilot_accounted &&
-                   session_accounted
-               ? 0
-               : 1;
+    std::printf("completed %zu/%zu requests across %zu load points%s\n",
+                completed, offered_total,
+                std::size(mixes) * load_multipliers.size(),
+                all_completed ? "" : "; LOST REQUESTS");
+    return all_completed ? 0 : 1;
 }

@@ -88,7 +88,8 @@ main()
     deadline_options.queuePolicy = serve::QueuePolicy::Edf;
     deadline_options.shedExpired = true;
     deadline_options.shedPredicted = true;
-    // Real deployments calibrate this (see bench_serving_load); the
+    // Real deployments calibrate this (the serving benches measure it
+    // with a saturation probe, bench/common/load_driver.hh); the
     // demo overstates it so the hopeless request below sheds
     // deterministically.
     deadline_options.calibratedStepCostMs = 5.0;

@@ -137,17 +137,12 @@ RnnNetwork::forwardBatch(std::span<const Sequence> inputs,
             outputs[b] = current.unpackSequence(b - begin);
     };
 
-    if (options.threaded) {
-        ThreadPool &pool =
-            options.pool != nullptr ? *options.pool : ThreadPool::global();
-        pool.run(chunks, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t chunk = begin; chunk < end; ++chunk)
-                run_chunk(chunk);
-        });
-    } else {
-        for (std::size_t chunk = 0; chunk < chunks; ++chunk)
+    ThreadPool &pool =
+        options.pool != nullptr ? *options.pool : ThreadPool::global();
+    pool.run(chunks, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t chunk = begin; chunk < end; ++chunk)
             run_chunk(chunk);
-    }
+    });
     return outputs;
 }
 

@@ -46,12 +46,6 @@ struct BatchForwardOptions
      * accept that sharing (outputs are identical for every chunk size).
      */
     std::size_t chunkSize = 64;
-    /**
-     * Schedule chunks on the thread pool; false runs every chunk on
-     * the calling thread (debugging / baselines), with identical
-     * results either way.
-     */
-    bool threaded = true;
 };
 
 /**

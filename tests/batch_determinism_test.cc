@@ -80,12 +80,6 @@ TEST(BatchDeterminismTest, DirectPathIdenticalAcrossWorkerCounts)
         expectIdentical(reference,
                         network.forwardBatchBaseline(sequences, options));
     }
-
-    // The unthreaded fallback is the same computation too.
-    nn::BatchForwardOptions unthreaded;
-    unthreaded.threaded = false;
-    expectIdentical(reference,
-                    network.forwardBatchBaseline(sequences, unthreaded));
 }
 
 TEST(BatchDeterminismTest, MemoizedPathIdenticalOutputsAndStats)

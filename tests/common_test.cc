@@ -12,7 +12,6 @@
 
 #include "common/cli.hh"
 #include "common/fixed_point.hh"
-#include "common/half.hh"
 #include "common/histogram.hh"
 #include "common/parallel.hh"
 #include "common/report.hh"
@@ -385,54 +384,6 @@ TEST(FixedPointTest, QuantizationIsNearestNeighbor)
     const double v = 0.25;
     EXPECT_EQ(Q16::fromDouble(v + 0.4 * step).raw(),
               Q16::fromDouble(v).raw());
-}
-
-// --------------------------------------------------------------- half
-
-TEST(HalfTest, KnownBitPatterns)
-{
-    EXPECT_EQ(floatToHalfBits(0.0f), 0x0000);
-    EXPECT_EQ(floatToHalfBits(1.0f), 0x3c00);
-    EXPECT_EQ(floatToHalfBits(-2.0f), 0xc000);
-    EXPECT_EQ(floatToHalfBits(65504.0f), 0x7bff); // max finite half
-    EXPECT_EQ(floatToHalfBits(1e30f), 0x7c00);    // overflow -> inf
-}
-
-TEST(HalfTest, RoundTripExactForHalfValues)
-{
-    // Every finite half value must round-trip bit-exactly.
-    for (std::uint32_t bits = 0; bits < 0x10000; ++bits) {
-        const auto h = static_cast<std::uint16_t>(bits);
-        const std::uint32_t exponent = (h >> 10) & 0x1f;
-        if (exponent == 0x1f)
-            continue; // skip inf/NaN
-        const float f = halfBitsToFloat(h);
-        EXPECT_EQ(floatToHalfBits(f), h) << "bits=" << bits;
-    }
-}
-
-TEST(HalfTest, ConversionErrorBounded)
-{
-    Rng rng(41);
-    for (int i = 0; i < 10000; ++i) {
-        const auto f = static_cast<float>(rng.uniform(-100.0, 100.0));
-        const float q = quantizeToHalf(f);
-        // Half has 11 significand bits -> relative error <= 2^-11.
-        EXPECT_LE(std::fabs(q - f), std::fabs(f) * 0x1.0p-11 + 1e-7f);
-    }
-}
-
-TEST(HalfTest, SignBit)
-{
-    EXPECT_FALSE(Half(1.5f).signBit());
-    EXPECT_TRUE(Half(-1.5f).signBit());
-}
-
-TEST(HalfTest, DenormalsSurvive)
-{
-    const float tiny = halfBitsToFloat(0x0001); // smallest denormal
-    EXPECT_GT(tiny, 0.0f);
-    EXPECT_EQ(floatToHalfBits(tiny), 0x0001);
 }
 
 // ---------------------------------------------------------------- cli

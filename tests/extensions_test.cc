@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the extension modules: weight serialization, the FP16
- * datapath evaluator, the cycle-by-cycle pipeline simulator, and
- * per-layer reuse reporting.
+ * Tests for the extension modules: weight serialization, the
+ * cycle-by-cycle pipeline simulator, and per-layer reuse reporting.
  */
 
 #include <gtest/gtest.h>
@@ -10,13 +9,11 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "common/half.hh"
 #include "common/rng.hh"
 #include "epur/pipeline_sim.hh"
 #include "memo/memo_engine.hh"
 #include "nn/cell_descriptor.hh"
 #include "nn/init.hh"
-#include "nn/quantized.hh"
 #include "nn/serialize.hh"
 
 namespace nlfm
@@ -219,57 +216,6 @@ TEST(SerializeTest, MissingFileIsFatal)
             (void)network;
         },
         "cannot open");
-}
-
-// -------------------------------------------------------------- fp16
-
-TEST(Fp16EvaluatorTest, StaysCloseToFloat32)
-{
-    RnnNetwork network(smallConfig());
-    Rng rng(7);
-    nn::initNetwork(network, rng);
-    Rng data_rng(8);
-    const Sequence inputs =
-        randomSequence(data_rng, 6, network.config().inputSize);
-
-    const Sequence fp32 = network.forwardBaseline(inputs);
-    nn::Fp16Evaluator fp16;
-    const Sequence half = network.forward(inputs, fp16);
-
-    for (std::size_t t = 0; t < fp32.size(); ++t) {
-        for (std::size_t i = 0; i < fp32[t].size(); ++i) {
-            // binary16 has ~3 decimal digits; through two stacked
-            // layers the divergence stays small for unit-scale data.
-            EXPECT_NEAR(half[t][i], fp32[t][i], 0.02)
-                << "t=" << t << " i=" << i;
-        }
-    }
-}
-
-TEST(Fp16EvaluatorTest, NeuronMatchesManualQuantization)
-{
-    nn::GateParams params;
-    params.wx = tensor::Matrix(1, 3);
-    params.wh = tensor::Matrix(1, 2);
-    params.bias.assign(1, 0.f);
-    params.wx.at(0, 0) = 0.1f;
-    params.wx.at(0, 1) = -0.2f;
-    params.wx.at(0, 2) = 0.3f;
-    params.wh.at(0, 0) = 1.5f;
-    params.wh.at(0, 1) = -2.5f;
-    const std::vector<float> x = {1.1f, 2.2f, 3.3f};
-    const std::vector<float> h = {0.5f, 0.25f};
-
-    float expected = 0.f;
-    for (std::size_t i = 0; i < 3; ++i)
-        expected += nlfm::quantizeToHalf(params.wx.at(0, i)) *
-                    quantizeToHalf(x[i]);
-    for (std::size_t i = 0; i < 2; ++i)
-        expected += nlfm::quantizeToHalf(params.wh.at(0, i)) *
-                    quantizeToHalf(h[i]);
-    expected = nlfm::quantizeToHalf(expected);
-
-    EXPECT_FLOAT_EQ(nn::evaluateNeuronFp16(params, 0, x, h), expected);
 }
 
 // ------------------------------------------------------ pipeline sim
