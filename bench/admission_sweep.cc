@@ -37,14 +37,15 @@ main(int argc, char **argv)
     // Tight deadlines miss as soon as queueing sets in; loose ones only
     // at deep backlogs. FIFO cannot tell them apart; EDF serves tight
     // first and predictive shedding stops burning slots on the provably
-    // lost. The tight bound budgets several times the amortized
-    // per-sequence cost because a request's own service spans many
-    // ticks of a loaded pool: it must be meetable when prioritized, or
-    // no queue order can help.
-    const double amortized_ms = 1000.0 / study.capacity;
+    // lost. Both bounds are multiples of the saturated in-slot service,
+    // the same probe the shedder's per-step cost comes from. The tight
+    // bound covers the longest ragged request's own service (lengths
+    // span 50-100% of the base, so at most ~1.33x the mean): it is
+    // meetable when prioritized, and no request is a predicted miss
+    // into an idle pool.
     const double theta[] = {0.05};
-    const double deadline_mix[] = {6.0 * amortized_ms,
-                                   20.0 * amortized_ms + 400.0};
+    const double deadline_mix[] = {1.5 * model.serviceMs,
+                                   5.0 * model.serviceMs};
     const std::vector<std::vector<serve::Request>> requests = {
         bench::makeRequests(model.inputs, theta, deadline_mix)};
     std::printf("deadline mix %.0f/%.0f ms, step cost %.3f ms\n",

@@ -92,10 +92,10 @@ makeRequests(std::span<const nn::Sequence> inputs,
 
 std::vector<LoadModel>
 makeLoadModels(std::span<const std::string> names, std::size_t steps,
-               std::size_t corpus, std::size_t requests, std::uint64_t seed)
+               std::size_t corpus, std::size_t requests)
 {
     std::vector<LoadModel> models;
-    Rng rng(seed);
+    Rng rng(2026);
     for (const std::string &name : names) {
         LoadModel model;
         model.workload = workloads::buildWorkload(

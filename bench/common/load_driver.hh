@@ -83,12 +83,11 @@ struct LoadModel
 /**
  * Build each named zoo workload with @p steps per sequence and
  * @p corpus test sequences, and draw @p requests ragged inputs per
- * model from one Rng seeded @p seed, in name order.
+ * model from one fixed-seed Rng, in name order.
  */
 std::vector<LoadModel> makeLoadModels(std::span<const std::string> names,
                                       std::size_t steps, std::size_t corpus,
-                                      std::size_t requests,
-                                      std::uint64_t seed = 2026);
+                                      std::size_t requests);
 
 /** Registry of the models' specs, in order. */
 serve::ModelRegistry registryOf(std::span<const LoadModel> models);

@@ -48,9 +48,10 @@ main(int argc, char **argv)
         bench::setupOneModelStudy(options, "serving_load");
     const bench::LoadModel &model = study.models.front();
     const serve::ModelRegistry registry = bench::registryOf(study.models);
-    // 3x saturated service + queue allowance: met comfortably below
-    // capacity, visibly missed above it.
-    const double deadline[] = {3.0 * model.serviceMs + 500.0};
+    // Twice the saturated service: a request's own service plus as
+    // much again of queueing, met below capacity and missed once the
+    // backlog outgrows the pool.
+    const double deadline[] = {2.0 * model.serviceMs};
 
     // Two theta mixes (the >= 2 theta settings) x offered-load sweep;
     // alternating thetas make mixed panels.
