@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "common/rng.hh"
 #include "memo/memo_engine.hh"
 #include "metrics/edit_distance.hh"
@@ -173,6 +175,116 @@ BM_BnnDotPanelAvx512(benchmark::State &state)
     benchBnnDotPanel(state, tensor::BnnIsa::Avx512);
 }
 BENCHMARK(BM_BnnDotPanelAvx512);
+
+/**
+ * The union-tile break-even of the batch engine's commit
+ * (kUnionDensityNum / kUnionDensityDen in memo/memo_batch.cc): three
+ * gate rows (Wx of width x, Wh of width h) whose misses are drawn
+ * independently at a given rate over a panel of slots, evaluated either
+ * as one 3-row dotLanesTile per operand over the union of their misses
+ * (BM_MissTileUnion) or one row at a time over its own misses
+ * (BM_MissTileRows). The compacted pointer lists are built outside the
+ * timed loop. The "density" counter is the rows' own misses over
+ * 3 x union: the union tile wins above the density where the two times
+ * cross. Args: slots, x, h, miss percent.
+ */
+struct MissTileFixture
+{
+    std::vector<std::vector<float>> wx, wh, xs, hs;
+    std::vector<const float *> wx_rows, wh_rows;
+    std::vector<const float *> union_x, union_h;
+    std::vector<std::vector<const float *>> own_x, own_h;
+    std::vector<float> fwd, rec;
+    double density = 0.0;
+
+    explicit MissTileFixture(const benchmark::State &state)
+    {
+        const auto slots = static_cast<std::size_t>(state.range(0));
+        const auto x = static_cast<std::size_t>(state.range(1));
+        const auto h = static_cast<std::size_t>(state.range(2));
+        const auto miss_pct = static_cast<std::uint64_t>(state.range(3));
+        Rng rng(17);
+        for (std::size_t k = 0; k < tensor::kTileWeightRows; ++k) {
+            wx.push_back(randomVector(x, 400 + k));
+            wh.push_back(randomVector(h, 500 + k));
+        }
+        for (std::size_t s = 0; s < slots; ++s) {
+            xs.push_back(randomVector(x, 600 + s));
+            hs.push_back(randomVector(h, 1600 + s));
+        }
+        own_x.resize(tensor::kTileWeightRows);
+        own_h.resize(tensor::kTileWeightRows);
+        std::size_t own = 0;
+        for (std::size_t s = 0; s < slots; ++s) {
+            bool any = false;
+            for (std::size_t k = 0; k < tensor::kTileWeightRows; ++k)
+                if (rng.uniformInt(100) < miss_pct) {
+                    own_x[k].push_back(xs[s].data());
+                    own_h[k].push_back(hs[s].data());
+                    any = true;
+                    ++own;
+                }
+            if (any) {
+                union_x.push_back(xs[s].data());
+                union_h.push_back(hs[s].data());
+            }
+        }
+        for (std::size_t k = 0; k < tensor::kTileWeightRows; ++k) {
+            wx_rows.push_back(wx[k].data());
+            wh_rows.push_back(wh[k].data());
+        }
+        fwd.resize(tensor::kTileWeightRows * slots);
+        rec.resize(tensor::kTileWeightRows * slots);
+        density = union_x.empty()
+                      ? 1.0
+                      : static_cast<double>(own) /
+                            static_cast<double>(tensor::kTileWeightRows *
+                                                union_x.size());
+    }
+};
+
+void
+BM_MissTileUnion(benchmark::State &state)
+{
+    MissTileFixture f(state);
+    const std::size_t dots = tensor::kTileWeightRows * f.union_x.size();
+    for (auto _ : state) {
+        tensor::dotLanesTile(f.wx_rows, f.union_x, f.wx[0].size(),
+                             {f.fwd.data(), dots});
+        tensor::dotLanesTile(f.wh_rows, f.union_h, f.wh[0].size(),
+                             {f.rec.data(), dots});
+        benchmark::ClobberMemory();
+    }
+    state.counters["density"] = f.density;
+}
+
+void
+BM_MissTileRows(benchmark::State &state)
+{
+    MissTileFixture f(state);
+    for (auto _ : state) {
+        for (std::size_t k = 0; k < tensor::kTileWeightRows; ++k) {
+            const std::size_t dots = f.own_x[k].size();
+            tensor::dotLanesRows(f.wx[k], f.own_x[k], {f.fwd.data(), dots});
+            tensor::dotLanesRows(f.wh[k], f.own_h[k], {f.rec.data(), dots});
+        }
+        benchmark::ClobberMemory();
+    }
+    state.counters["density"] = f.density;
+}
+
+void
+missTileArgs(benchmark::internal::Benchmark *bench)
+{
+    // IMDB's gate (x 64, h 128) over its 256-slot chunk, and a
+    // DeepSpeech2-width gate (800 + 800) over 64 slots.
+    for (const auto &[slots, x, h] :
+         {std::array<int, 3>{256, 64, 128}, std::array<int, 3>{64, 800, 800}})
+        for (int miss = 5; miss <= 100; miss += 5)
+            bench->Args({slots, x, h, miss});
+}
+BENCHMARK(BM_MissTileUnion)->Apply(missTileArgs);
+BENCHMARK(BM_MissTileRows)->Apply(missTileArgs);
 
 void
 BM_InputBinarization(benchmark::State &state)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <limits>
 
 #if defined(__x86_64__)
@@ -21,11 +22,86 @@ namespace
 /** Weight rows per probe panel (block x live-slots kernel calls). */
 constexpr std::size_t kProbeNeuronBlock = 32;
 
+/**
+ * Break-even density of a union commit tile, as the fraction
+ * kUnionDensityNum / kUnionDensityDen: a group of a probe block's
+ * missing rows is evaluated as one dotLanesTile over the union of
+ * their misses only when the dots the rows commit (the sum of their
+ * miss counts) are at least that share of the dots the tile computes
+ * (rows x union). Below it each row is evaluated over its own misses.
+ * Measured with bench_micro_kernels' BM_MissTile* (docs/SIMD.md).
+ */
+constexpr std::size_t kUnionDensityNum = 1;
+constexpr std::size_t kUnionDensityDen = 2;
+
+/** Word @p w of a slot bit mask stored as bytes (8 slots per byte). */
+inline std::uint64_t
+maskWord(const std::uint8_t *mask, std::size_t w)
+{
+    std::uint64_t word;
+    std::memcpy(&word, mask + 8 * w, sizeof word);
+    return word;
+}
+
+/**
+ * Compact the panel pointers of the slots flagged in @p mask (ascending
+ * slot order) into @p x_out / @p h_out; returns how many.
+ */
+std::size_t
+compactRows(const std::uint8_t *mask, std::size_t mask_words,
+            const float *const *x_rows, const float *const *h_rows,
+            const float **x_out, const float **h_out)
+{
+    std::size_t count = 0;
+    for (std::size_t w = 0; w < mask_words; ++w)
+        for (std::uint64_t m = maskWord(mask, w); m != 0; m &= m - 1) {
+            const std::size_t i =
+                64 * w + static_cast<std::size_t>(__builtin_ctzll(m));
+            x_out[count] = x_rows[i];
+            h_out[count] = h_rows[i];
+            ++count;
+        }
+    return count;
+}
+
+/**
+ * Phase 2 (Eqs. 15-17) of one row for any slot list: @p computed flags
+ * the slots whose dots @p fwd / @p rec hold, one per flagged slot in
+ * ascending slot order (a slot's dot sits at its rank), and @p missed,
+ * a subset, the slots whose entries this row refreshes.
+ */
+void
+commitRowByRank(const std::uint8_t *computed, const std::uint8_t *missed,
+                std::size_t mask_words, const std::uint32_t *slot_entry,
+                const float *fwd, const float *rec,
+                const std::int32_t *yb_row, float *y_row,
+                std::int32_t *bnn_row, std::int64_t *draw_row,
+                std::uint8_t *valid_row)
+{
+    std::size_t d = 0;
+    for (std::size_t w = 0; w < mask_words; ++w) {
+        const std::uint64_t m = maskWord(missed, w);
+        for (std::uint64_t c = maskWord(computed, w); c != 0;
+             c &= c - 1, ++d) {
+            const int j = __builtin_ctzll(c);
+            if (((m >> j) & 1u) == 0)
+                continue;
+            const std::size_t i = 64 * w + static_cast<std::size_t>(j);
+            const std::uint32_t e = slot_entry[i];
+            y_row[e] = fwd[d] + rec[d];
+            bnn_row[e] = yb_row[i];
+            draw_row[e] = 0;
+            valid_row[e] = 1;
+        }
+    }
+}
+
 #if defined(__x86_64__)
 
 /**
  * AVX-512 form of the Phase-1 decision loop with throttling on, over a
- * dense slot range: eight slots per step through the division-free
+ * dense slot range (every table pointer is already offset to the
+ * panel's first slot): eight slots per step through the division-free
  * comparison of memo_decision.hh, each slot against its own theta —
  *
  *     reuse ⟺ valid && (diff << 16) < (theta - prev + 1) * mag
@@ -34,15 +110,18 @@ constexpr std::size_t kProbeNeuronBlock = 32;
  *
  * — integer arithmetic throughout, so decisions are bit-identical to
  * bnnReuseDecision (the caller guards against (theta+1)*mag overflow
- * with the panel's largest theta).
+ * with the panel's largest theta). The reusing lanes then take Eq. 13
+ * as one truncated double division (eq13QuotientLanes; the caller
+ * guards its exactness premise with the gate width) and a masked
+ * delta_b store, and bump their reuse counters with a masked
+ * read-modify-write: no step leaves the vector path. A reused neuron's
+ * output is its cached y_m, which the table already holds; the caller
+ * emits the block's outputs from the table after commit.
  * A final step of fewer than eight slots runs the same comparison over
  * masked loads (masked-out lanes read as invalid and are dropped from
  * both outcomes), so panels narrower than eight slots — a small
  * chunkSize — stay on the vector path too.
- * Misses are compress-stored into @p miss in ascending slot order and
- * flagged in @p miss_blocks (one bit per slot); reusing slots (the
- * sparse outcome at low theta) are resolved in the scalar mask loop,
- * which is also where the Q16 division finally runs.
+ * Misses are flagged in @p miss_blocks, one bit per slot.
  *
  * Explicit intrinsics behind a target attribute for the same reason as
  * tensor/bitpack_simd.cc: -march=native is off limits under gcc 12.
@@ -52,18 +131,13 @@ constexpr std::size_t kProbeNeuronBlock = 32;
 __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl,popcnt")))
 std::size_t
 decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
-                std::size_t e0, const std::int32_t *bnn_row,
-                const std::uint8_t *valid_row, std::int64_t *draw_row,
-                const float *y_row, std::uint64_t *reused_row,
-                float *const *out_rows, std::size_t n,
-                const std::int64_t *theta_raw, std::uint32_t *miss,
-                std::uint8_t *miss_blocks)
+                const std::int32_t *bnn_row, const std::uint8_t *valid_row,
+                std::int64_t *draw_row, std::uint64_t *reused_row,
+                const std::int64_t *theta_raw, std::uint8_t *miss_blocks)
 {
     std::size_t miss_count = 0;
     const __m512i one = _mm512_set1_epi64(1);
     const __m512i zero = _mm512_setzero_si512();
-    const __m512i lane_idx =
-        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 0, 0, 0, 0, 0, 0, 0, 0);
 
     for (std::size_t i = 0; i < slots; i += 8) {
         const unsigned lanes =
@@ -74,15 +148,14 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
         const __m512i yb = _mm512_maskz_cvtepi32_epi64(
             0xff, _mm256_maskz_loadu_epi32(lanes, yb_row + i));
         const __m512i ym = _mm512_maskz_cvtepi32_epi64(
-            0xff, _mm256_maskz_loadu_epi32(lanes, bnn_row + e0 + i));
+            0xff, _mm256_maskz_loadu_epi32(lanes, bnn_row + i));
         const __mmask8 valid = _mm512_cmpneq_epi64_mask(
             _mm512_maskz_cvtepu8_epi64(
-                0xff, _mm_maskz_loadu_epi8(lanes, valid_row + e0 + i)),
+                0xff, _mm_maskz_loadu_epi8(lanes, valid_row + i)),
             zero);
-        const __m512i prev =
-            _mm512_maskz_loadu_epi64(lanes, draw_row + e0 + i);
+        const __m512i prev = _mm512_maskz_loadu_epi64(lanes, draw_row + i);
         const __m512i theta1 = _mm512_add_epi64(
-            _mm512_maskz_loadu_epi64(lanes, theta_raw + e0 + i), one);
+            _mm512_maskz_loadu_epi64(lanes, theta_raw + i), one);
         const __m512i diff =
             _mm512_maskz_abs_epi64(0xff, _mm512_sub_epi64(yb, ym));
         const __m512i mag = _mm512_maskz_abs_epi64(0xff, yb);
@@ -97,76 +170,117 @@ decideRowAvx512(const std::int32_t *yb_row, std::size_t slots,
             _mm512_cmplt_epi64_mask(prev, theta1);
         const unsigned reuse = static_cast<unsigned>(valid) &
                                ((nonzero & lt) | (~nonzero & zero_reuse));
-        const __mmask16 miss_m = static_cast<__mmask16>(~reuse & lanes);
+        const unsigned miss_m = ~reuse & lanes;
         miss_blocks[i / 8] = static_cast<std::uint8_t>(miss_m);
+        miss_count += static_cast<std::size_t>(__builtin_popcount(miss_m));
+        if (reuse == 0)
+            continue;
 
-        _mm512_mask_compressstoreu_epi32(
-            miss + miss_count, miss_m,
-            _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(i)),
-                             lane_idx));
-        miss_count += static_cast<std::size_t>(
-            __builtin_popcount(miss_m));
-
-        unsigned rm = reuse;
-        while (rm != 0) {
-            const int j = __builtin_ctz(rm);
-            rm &= rm - 1;
-            const std::size_t e = e0 + i + static_cast<std::size_t>(j);
-            const std::int64_t yb_t = yb_row[i + j];
-            if (yb_t != 0) {
-                const std::int64_t d = std::abs(
-                    yb_t - static_cast<std::int64_t>(bnn_row[e]));
-                draw_row[e] += (d << 16) / std::abs(yb_t); // Eq. 13
-            }
-            out_rows[i + j][n] = y_row[e];
-            ++reused_row[e];
-        }
+        // Eq. 13: delta_b += (diff << 16) / |yb_t| where yb_t != 0 (a
+        // zero yb_t reuses only with diff == 0 and keeps delta_b).
+        const __mmask8 update = static_cast<__mmask8>(reuse & nonzero);
+        _mm512_mask_storeu_epi64(
+            draw_row + i, update,
+            _mm512_add_epi64(prev, eq13QuotientLanes(update, scaled, mag)));
+        const __mmask8 reused = static_cast<__mmask8>(reuse);
+        _mm512_mask_storeu_epi64(
+            reused_row + i, reused,
+            _mm512_add_epi64(_mm512_maskz_loadu_epi64(reused, reused_row + i),
+                             one));
     }
     return miss_count;
 }
 
 /**
- * Masked-store form of the miss commit (Eqs. 15-17) for the dense
- * full-panel path: forward/recurrent hold every slot's dots, and the
- * missing slots' table entries are contiguous, so one 8-slot step
- * refreshes y_m, yb_m, delta_b and the valid byte with four masked
- * stores (a final narrower step is just a narrower miss mask; the
- * masked loads never touch slots past the panel). Only the per-sequence
- * preact write stays scalar (each slot's output row is a different
- * buffer). The committed y_t is the same float add the scalar loop
- * performs.
+ * AVX-512 form of commitRowByRank over a dense slot range (table
+ * pointers offset to the panel's first slot): per 8-slot step, one
+ * expand-load places the dots of the @p computed slots in their lanes,
+ * and four masked stores refresh y_m, yb_m, delta_b and the valid byte
+ * of the @p missed ones. One routine for a full panel, one row's
+ * compacted misses and a tile over a union. The committed y_t is the
+ * same float add the scalar commit performs.
  */
-__attribute__((target(
-    "avx512f,avx512dq,avx512bw,avx512vl,popcnt"))) void
-commitRowAvx512(const std::uint8_t *miss_blocks, std::size_t slots,
-                std::size_t e0, const float *forward,
-                const float *recurrent, const std::int32_t *yb_row,
-                float *y_row, std::int32_t *bnn_row,
-                std::int64_t *draw_row, std::uint8_t *valid_row,
-                float *const *out_rows, std::size_t n)
+__attribute__((target("avx512f,avx512bw,avx512vl,popcnt"))) void
+commitRowAvx512(const std::uint8_t *computed, const std::uint8_t *missed,
+                std::size_t slots, const float *fwd, const float *rec,
+                const std::int32_t *yb_row, float *y_row,
+                std::int32_t *bnn_row, std::int64_t *draw_row,
+                std::uint8_t *valid_row)
 {
     const __m512i zero64 = _mm512_setzero_si512();
     const __m128i one8 = _mm_set1_epi8(1);
+    std::size_t d = 0;
     for (std::size_t i = 0; i < slots; i += 8) {
-        const __mmask8 m = miss_blocks[i / 8];
-        if (m == 0)
-            continue;
-        const __m256 y_t =
-            _mm256_add_ps(_mm256_maskz_loadu_ps(m, forward + i),
-                          _mm256_maskz_loadu_ps(m, recurrent + i));
-        _mm256_mask_storeu_ps(y_row + e0 + i, m, y_t);
-        _mm256_mask_storeu_epi32(bnn_row + e0 + i, m,
-                                 _mm256_maskz_loadu_epi32(m, yb_row + i));
-        _mm512_mask_storeu_epi64(draw_row + e0 + i, m, zero64);
-        _mm_mask_storeu_epi8(valid_row + e0 + i, m, one8);
+        const __mmask8 c = computed[i / 8];
+        const __mmask8 m = missed[i / 8];
+        if (m != 0) {
+            const __m256 y_t =
+                _mm256_add_ps(_mm256_maskz_expandloadu_ps(c, fwd + d),
+                              _mm256_maskz_expandloadu_ps(c, rec + d));
+            _mm256_mask_storeu_ps(y_row + i, m, y_t);
+            _mm256_mask_storeu_epi32(
+                bnn_row + i, m, _mm256_maskz_loadu_epi32(m, yb_row + i));
+            _mm512_mask_storeu_epi64(draw_row + i, m, zero64);
+            _mm_mask_storeu_epi8(valid_row + i, m, one8);
+        }
+        d += static_cast<std::size_t>(__builtin_popcount(c));
+    }
+}
 
-        alignas(32) float y_s[8];
-        _mm256_store_ps(y_s, y_t);
-        unsigned rm = m;
-        while (rm != 0) {
-            const int j = __builtin_ctz(rm);
-            rm &= rm - 1;
-            out_rows[i + j][n] = y_s[j];
+/**
+ * Emit a decided and committed probe block into the preact panel: after
+ * commit, table entry (row r, slot i) holds exactly the slot's output —
+ * the cached y_m it reused or the y_t it just computed — so the block's
+ * outputs are the transpose of its table rows. @p y holds @p rows table
+ * rows @p y_stride apart, each offset to the panel's first slot; @p out
+ * is the first slot's preact row at the block's first neuron, the slots
+ * @p out_stride apart. 8 x 8 tiles, masked at the block and panel
+ * edges.
+ */
+__attribute__((target("avx512f,avx512vl"))) void
+emitBlockAvx512(const float *y, std::size_t y_stride, std::size_t rows,
+                std::size_t slots, float *out, std::size_t out_stride)
+{
+    for (std::size_t r = 0; r < rows; r += 8) {
+        const std::size_t nr = std::min<std::size_t>(8, rows - r);
+        const __mmask8 row_mask = static_cast<__mmask8>((1u << nr) - 1u);
+        for (std::size_t i = 0; i < slots; i += 8) {
+            const std::size_t ns = std::min<std::size_t>(8, slots - i);
+            const __mmask8 slot_mask =
+                static_cast<__mmask8>((1u << ns) - 1u);
+            __m256 v[8];
+            for (std::size_t k = 0; k < 8; ++k)
+                v[k] = k < nr ? _mm256_maskz_loadu_ps(
+                                    slot_mask, y + (r + k) * y_stride + i)
+                              : _mm256_setzero_ps();
+            const __m256 t0 = _mm256_unpacklo_ps(v[0], v[1]);
+            const __m256 t1 = _mm256_unpackhi_ps(v[0], v[1]);
+            const __m256 t2 = _mm256_unpacklo_ps(v[2], v[3]);
+            const __m256 t3 = _mm256_unpackhi_ps(v[2], v[3]);
+            const __m256 t4 = _mm256_unpacklo_ps(v[4], v[5]);
+            const __m256 t5 = _mm256_unpackhi_ps(v[4], v[5]);
+            const __m256 t6 = _mm256_unpacklo_ps(v[6], v[7]);
+            const __m256 t7 = _mm256_unpackhi_ps(v[6], v[7]);
+            const __m256 u0 = _mm256_shuffle_ps(t0, t2, 0x44);
+            const __m256 u1 = _mm256_shuffle_ps(t0, t2, 0xee);
+            const __m256 u2 = _mm256_shuffle_ps(t1, t3, 0x44);
+            const __m256 u3 = _mm256_shuffle_ps(t1, t3, 0xee);
+            const __m256 u4 = _mm256_shuffle_ps(t4, t6, 0x44);
+            const __m256 u5 = _mm256_shuffle_ps(t4, t6, 0xee);
+            const __m256 u6 = _mm256_shuffle_ps(t5, t7, 0x44);
+            const __m256 u7 = _mm256_shuffle_ps(t5, t7, 0xee);
+            const __m256 col[8] = {
+                _mm256_permute2f128_ps(u0, u4, 0x20),
+                _mm256_permute2f128_ps(u1, u5, 0x20),
+                _mm256_permute2f128_ps(u2, u6, 0x20),
+                _mm256_permute2f128_ps(u3, u7, 0x20),
+                _mm256_permute2f128_ps(u0, u4, 0x31),
+                _mm256_permute2f128_ps(u1, u5, 0x31),
+                _mm256_permute2f128_ps(u2, u6, 0x31),
+                _mm256_permute2f128_ps(u3, u7, 0x31)};
+            for (std::size_t k = 0; k < ns; ++k)
+                _mm256_mask_storeu_ps(out + (i + k) * out_stride + r,
+                                      row_mask, col[k]);
         }
     }
 }
@@ -464,21 +578,23 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
         slot_entry[i] =
             static_cast<std::uint32_t>(slot_base + rows[i]);
 
-    // Per-probe-block decision scratch, row r of the block at offset
-    // r * slots (indices) and r * mask_bytes (masks): which slots missed,
-    // as ascending indices and as one bit per slot in 8-slot bytes.
-    // forward/recurrent hold up to one register tile of dots.
-    const std::size_t mask_bytes = (slots + 7) / 8;
-    thread_local std::vector<std::uint32_t> miss;
+    // Per-probe-block decision scratch: which slots row r of the block
+    // missed, one bit per slot at offset r * mask_stride (whole 64-bit
+    // words, so the tail bits stay zero), and the union of a commit
+    // group's misses. forward/recurrent hold up to one register tile
+    // of dots; miss_x/miss_h the compacted pointers a tile runs over.
+    const std::size_t mask_words = (slots + 63) / 64;
+    const std::size_t mask_stride = 8 * mask_words;
     thread_local std::vector<std::uint8_t> miss_blocks;
+    thread_local std::vector<std::uint8_t> union_blocks;
     thread_local std::vector<const float *> miss_x;
     thread_local std::vector<const float *> miss_h;
     thread_local std::vector<float> forward;
     thread_local std::vector<float> recurrent;
-    miss.resize(kProbeNeuronBlock * slots);
-    miss_blocks.resize(kProbeNeuronBlock * mask_bytes);
-    miss_x.reserve(slots);
-    miss_h.reserve(slots);
+    miss_blocks.assign(kProbeNeuronBlock * mask_stride, 0);
+    union_blocks.resize(mask_stride);
+    miss_x.resize(slots);
+    miss_h.resize(slots);
     forward.resize(tensor::kTileWeightRows * slots);
     recurrent.resize(tensor::kTileWeightRows * slots);
     std::size_t miss_count[kProbeNeuronBlock];
@@ -489,83 +605,65 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     thread_local std::vector<std::int32_t> yb_panel;
     yb_panel.resize(kProbeNeuronBlock * slots);
 
-    // The vector decision path covers throttled decisions over a dense
-    // slot range, each slot at its own theta, as long as every theta in
-    // the panel is small enough that (theta + 1) * mag cannot leave 64
-    // bits; anything else — including a forced non-AVX-512 probe ISA,
-    // so variant comparisons measure a genuinely ISA-free fallback —
-    // takes the scalar loop. Both make bit-identical decisions.
+    // A dense slot range (consecutive table entries and preact rows)
+    // on an AVX-512 host with the AVX-512 probe selected takes the
+    // vector commit and output emission; anything else — including a
+    // forced non-AVX-512 probe ISA, so variant comparisons measure a
+    // genuinely ISA-free fallback — commits by rank. The vector
+    // decision additionally needs throttling on, every theta in the
+    // panel small enough that (theta + 1) * mag cannot leave 64 bits,
+    // and every Eq. 13 dividend (diff << 16, diff <= 2 * width) below
+    // 2^53 so the double quotient is exact; otherwise the scalar loop
+    // decides. All paths make bit-identical decisions.
+    [[maybe_unused]] bool vector_panel = false;
+    [[maybe_unused]] bool vector_decide = false;
 #if defined(__x86_64__)
-    static const bool has_decide_isa =
+    static const bool has_vector_isa =
         __builtin_cpu_supports("avx512f") > 0 &&
         __builtin_cpu_supports("avx512dq") > 0 &&
         __builtin_cpu_supports("avx512bw") > 0 &&
         __builtin_cpu_supports("avx512vl") > 0;
-    const bool dense =
-        slots > 0 && slot_entry[slots - 1] - slot_entry[0] + 1 == slots;
-    const bool vector_decide =
-        has_decide_isa && throttle && dense &&
-        tensor::bnnActiveIsa() == tensor::BnnIsa::Avx512 &&
+    vector_panel = has_vector_isa &&
+                   tensor::bnnActiveIsa() == tensor::BnnIsa::Avx512 &&
+                   slots > 0;
+    for (std::size_t i = 1; vector_panel && i < slots; ++i)
+        vector_panel = slot_entry[i] == slot_entry[0] + i;
+    vector_decide =
+        vector_panel && throttle &&
+        (static_cast<std::int64_t>(2 * width) << 16) < kEq13ExactDividend &&
         *std::max_element(slotThetaRaw_.data() + slot_entry[0],
                           slotThetaRaw_.data() + slot_entry[0] + slots) <
             std::numeric_limits<std::int64_t>::max() /
                 (static_cast<std::int64_t>(2 * width + 2) << 16);
 #endif
+    const std::size_t e0 = slots > 0 ? slot_entry[0] : 0;
 
-    // Phase 2 (Eqs. 15-17) for row r of the block at n0: emit y_t and
-    // refresh the whole entry of every slot that missed. by_slot: the
-    // dots are indexed by panel slot (a full-panel evaluation, which
-    // also computed the hit slots; their dots are dropped) rather than
-    // by miss rank (a compacted evaluation).
+    // Phase 2 (Eqs. 15-17) for row r of the block at n0: refresh the
+    // whole entry of every slot it missed. @p computed flags the slots
+    // whose dots fwd/rec hold (in rank order); the row's own misses are
+    // a subset, and the dots of the other computed slots are dropped.
     const auto commit = [&](std::size_t n0, std::size_t r,
-                            const float *fwd, const float *rec,
-                            bool by_slot) {
-        const std::size_t n = n0 + r;
+                            const std::uint8_t *computed, const float *fwd,
+                            const float *rec) {
         const std::size_t entry_base =
-            (instance.neuronBase + n) * slotStride_;
+            (instance.neuronBase + n0 + r) * slotStride_;
         const std::int32_t *yb_row = yb_panel.data() + r * slots;
-        float *y_row = cachedOutput_.data() + entry_base;
-        std::int32_t *bnn_row = cachedBnn_.data() + entry_base;
-        std::uint8_t *valid_row = valid_.data() + entry_base;
+        const std::uint8_t *missed = miss_blocks.data() + r * mask_stride;
 #if defined(__x86_64__)
-        if (vector_decide && by_slot) {
-            commitRowAvx512(miss_blocks.data() + r * mask_bytes, slots,
-                            slot_entry[0], fwd, rec, yb_row, y_row,
-                            bnn_row, deltaRaw_.data() + entry_base,
-                            valid_row, out_rows.data(), n);
+        if (vector_panel) {
+            commitRowAvx512(computed, missed, slots, fwd, rec, yb_row,
+                            cachedOutput_.data() + entry_base + e0,
+                            cachedBnn_.data() + entry_base + e0,
+                            deltaRaw_.data() + entry_base + e0,
+                            valid_.data() + entry_base + e0);
             return;
         }
 #endif
-        const std::uint32_t *row_miss = miss.data() + r * slots;
-        for (std::size_t m = 0; m < miss_count[r]; ++m) {
-            const std::size_t i = row_miss[m];
-            const std::size_t d = by_slot ? i : m;
-            const std::uint32_t e = slot_entry[i];
-            const float y_t = fwd[d] + rec[d];
-            out_rows[i][n] = y_t;
-            y_row[e] = y_t;
-            bnn_row[e] = yb_row[i];
-            deltaRaw_[entry_base + e] = 0;
-            valid_row[e] = 1;
-        }
-    };
-
-    // Whether the miss sets of rows a, b and c of the block together
-    // cover every live slot.
-    const auto covers_panel = [&](std::size_t a, std::size_t b,
-                                  std::size_t c) {
-        if (miss_count[a] + miss_count[b] + miss_count[c] < slots)
-            return false;
-        const std::uint8_t *ma = miss_blocks.data() + a * mask_bytes;
-        const std::uint8_t *mb = miss_blocks.data() + b * mask_bytes;
-        const std::uint8_t *mc = miss_blocks.data() + c * mask_bytes;
-        for (std::size_t w = 0; w < mask_bytes; ++w) {
-            const unsigned lanes =
-                slots - 8 * w >= 8 ? 0xffu : (1u << (slots - 8 * w)) - 1u;
-            if ((ma[w] | mb[w] | mc[w]) != lanes)
-                return false;
-        }
-        return true;
+        commitRowByRank(computed, missed, mask_words, slot_entry.data(),
+                        fwd, rec, yb_row, cachedOutput_.data() + entry_base,
+                        cachedBnn_.data() + entry_base,
+                        deltaRaw_.data() + entry_base,
+                        valid_.data() + entry_base);
     };
 
     for (std::size_t n0 = 0; n0 < instance.neurons;
@@ -577,52 +675,46 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
         lap(probe_ns);
 
         // Phase 1, the whole block first: the cheap BNN probe decides
-        // per slot; hits are resolved immediately, misses are queued
-        // per row (the queued yb_t stays readable in yb_panel).
+        // per slot; hits update their throttling state and counters,
+        // misses are flagged per row (the flagged yb_t stays readable in
+        // yb_panel).
         for (std::size_t r = 0; r < block; ++r) {
-            const std::size_t n = n0 + r;
-            const std::int32_t *yb_row = yb_panel.data() + r * slots;
             const std::size_t entry_base =
-                (instance.neuronBase + n) * slotStride_;
+                (instance.neuronBase + n0 + r) * slotStride_;
+            const std::int32_t *yb_row = yb_panel.data() + r * slots;
             // Row-base pointers: the decision loop then indexes by the
             // hoisted slot offsets only.
             const std::int32_t *bnn_row = cachedBnn_.data() + entry_base;
             const std::uint8_t *valid_row = valid_.data() + entry_base;
             std::int64_t *draw_row = deltaRaw_.data() + entry_base;
-            const float *y_row = cachedOutput_.data() + entry_base;
-            std::uint32_t *row_miss = miss.data() + r * slots;
-            std::uint8_t *row_blocks = miss_blocks.data() + r * mask_bytes;
+            std::uint8_t *row_blocks = miss_blocks.data() + r * mask_stride;
 
 #if defined(__x86_64__)
             if (vector_decide) {
                 miss_count[r] = decideRowAvx512(
-                    yb_row, slots, slot_entry[0], bnn_row, valid_row,
-                    draw_row, y_row, reused_row, out_rows.data(), n,
-                    slotThetaRaw_.data(), row_miss, row_blocks);
+                    yb_row, slots, bnn_row + e0, valid_row + e0,
+                    draw_row + e0, reused_row + e0,
+                    slotThetaRaw_.data() + e0, row_blocks);
                 continue;
             }
 #endif
             std::size_t misses = 0;
-            std::fill_n(row_blocks, mask_bytes, std::uint8_t{0});
+            std::fill_n(row_blocks, mask_stride, std::uint8_t{0});
             for (std::size_t i = 0; i < slots; ++i) {
                 const std::uint32_t e = slot_entry[i];
-                const std::int32_t yb_t = yb_row[i];
-
                 // Per-slot threshold: slots carry their own theta in
                 // serving mode (identical to the engine default in
                 // closed-batch mode).
                 const BnnDecision decision = bnnReuseDecision(
-                    yb_t, bnn_row[e], valid_row[e] != 0, draw_row[e],
+                    yb_row[i], bnn_row[e], valid_row[e] != 0, draw_row[e],
                     throttle, Q16::fromRaw(slotThetaRaw_[e]));
-
                 if (decision.reuse) {
-                    // Eq. 14 top: bypass the DPU, emit the cached
-                    // output.
-                    out_rows[i][n] = y_row[e];
+                    // Eq. 14 top: bypass the DPU; the cached output is
+                    // emitted with the block.
                     draw_row[e] = decision.deltaRaw;
                     ++reused_row[e];
                 } else {
-                    row_miss[misses++] = static_cast<std::uint32_t>(i);
+                    ++misses;
                     row_blocks[i / 8] |=
                         static_cast<std::uint8_t>(1u << (i % 8));
                 }
@@ -631,60 +723,97 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
         }
         lap(decide_ns);
 
-        // Phase 2 over the block's rows with misses, in triples: when a
-        // triple's miss sets together cover the panel, one register
-        // tile over the already-gathered panel pointers evaluates all
-        // three rows, and each row commits only its own misses. A
-        // partial row streams the same weight row as a full one, so the
-        // hit slots computed inside such a tile cost almost nothing.
-        // Otherwise the next row alone takes the full panel (every slot
-        // missed) or the compacted pointer list of its misses.
+        // Phase 2 over the block's rows with misses, in groups of up to
+        // three consecutive ones: one register tile evaluates the group
+        // over the compacted union of its misses, and each row commits
+        // only its own misses. A row that hits on some slots streams the
+        // same weight row as one that misses on all of them, so the
+        // union's extra dots are cheap — as long as the rows' own misses
+        // fill enough of it (kUnionDensityNum / kUnionDensityDen);
+        // below that the group shrinks, down to one row over its own
+        // misses.
         std::size_t missing[kProbeNeuronBlock];
         std::size_t missing_count = 0;
         for (std::size_t r = 0; r < block; ++r)
             if (miss_count[r] != 0)
                 missing[missing_count++] = r;
         for (std::size_t j = 0; j < missing_count;) {
-            if (j + tensor::kTileWeightRows <= missing_count &&
-                covers_panel(missing[j], missing[j + 1],
-                             missing[j + 2])) {
-                const float *wx_rows[tensor::kTileWeightRows];
-                const float *wh_rows[tensor::kTileWeightRows];
-                for (std::size_t k = 0; k < tensor::kTileWeightRows; ++k) {
-                    wx_rows[k] = params.wx.row(n0 + missing[j + k]).data();
-                    wh_rows[k] = params.wh.row(n0 + missing[j + k]).data();
+            std::size_t group =
+                std::min(tensor::kTileWeightRows, missing_count - j);
+            const std::uint8_t *computed = nullptr;
+            std::size_t computed_count = 0;
+            for (; group > 1; --group) {
+                std::size_t union_count = 0;
+                std::size_t own = 0;
+                for (std::size_t w = 0; w < mask_words; ++w) {
+                    std::uint64_t u = 0;
+                    for (std::size_t k = 0; k < group; ++k)
+                        u |= maskWord(miss_blocks.data() +
+                                          missing[j + k] * mask_stride,
+                                      w);
+                    std::memcpy(union_blocks.data() + 8 * w, &u, sizeof u);
+                    union_count +=
+                        static_cast<std::size_t>(__builtin_popcountll(u));
                 }
-                tensor::dotLanesTile(wx_rows, x_rows, params.wx.cols(),
-                                     forward);
-                tensor::dotLanesTile(wh_rows, h_rows, params.wh.cols(),
-                                     recurrent);
-                for (std::size_t k = 0; k < tensor::kTileWeightRows; ++k)
-                    commit(n0, missing[j + k], forward.data() + k * slots,
-                           recurrent.data() + k * slots, true);
-                j += tensor::kTileWeightRows;
-                continue;
+                for (std::size_t k = 0; k < group; ++k)
+                    own += miss_count[missing[j + k]];
+                if (own * kUnionDensityDen >=
+                    kUnionDensityNum * group * union_count) {
+                    computed = union_blocks.data();
+                    computed_count = union_count;
+                    break;
+                }
+            }
+            if (group == 1) {
+                computed = miss_blocks.data() + missing[j] * mask_stride;
+                computed_count = miss_count[missing[j]];
             }
 
-            const std::size_t r = missing[j++];
-            const std::size_t n = n0 + r;
-            const std::span<float> fwd{forward.data(), miss_count[r]};
-            const std::span<float> rec{recurrent.data(), miss_count[r]};
-            if (miss_count[r] == slots) {
-                tensor::dotLanesRows(params.wx.row(n), x_rows, fwd);
-                tensor::dotLanesRows(params.wh.row(n), h_rows, rec);
-                commit(n0, r, fwd.data(), rec.data(), true);
-                continue;
+            // The tile's inputs: the gathered panel pointers when every
+            // slot is in, the compacted ones otherwise.
+            std::span<const float *const> xs{x_rows.data(), slots};
+            std::span<const float *const> hs{h_rows.data(), slots};
+            if (computed_count != slots) {
+                compactRows(computed, mask_words, x_rows.data(),
+                            h_rows.data(), miss_x.data(), miss_h.data());
+                xs = {miss_x.data(), computed_count};
+                hs = {miss_h.data(), computed_count};
             }
-            const std::uint32_t *row_miss = miss.data() + r * slots;
-            miss_x.resize(miss_count[r]);
-            miss_h.resize(miss_count[r]);
-            for (std::size_t m = 0; m < miss_count[r]; ++m) {
-                miss_x[m] = x_rows[row_miss[m]];
-                miss_h[m] = h_rows[row_miss[m]];
+            const float *wx_rows[tensor::kTileWeightRows];
+            const float *wh_rows[tensor::kTileWeightRows];
+            for (std::size_t k = 0; k < group; ++k) {
+                wx_rows[k] = params.wx.row(n0 + missing[j + k]).data();
+                wh_rows[k] = params.wh.row(n0 + missing[j + k]).data();
             }
-            tensor::dotLanesRows(params.wx.row(n), miss_x, fwd);
-            tensor::dotLanesRows(params.wh.row(n), miss_h, rec);
-            commit(n0, r, fwd.data(), rec.data(), false);
+            const std::size_t dots = group * computed_count;
+            tensor::dotLanesTile({wx_rows, group}, xs, params.wx.cols(),
+                                 {forward.data(), dots});
+            tensor::dotLanesTile({wh_rows, group}, hs, params.wh.cols(),
+                                 {recurrent.data(), dots});
+            for (std::size_t k = 0; k < group; ++k)
+                commit(n0, missing[j + k], computed,
+                       forward.data() + k * computed_count,
+                       recurrent.data() + k * computed_count);
+            j += group;
+        }
+
+        // Every entry of the block now holds its slot's output (the
+        // reused y_m or the fresh y_t): emit the block from the table.
+        const float *y_block =
+            cachedOutput_.data() + (instance.neuronBase + n0) * slotStride_;
+#if defined(__x86_64__)
+        if (vector_panel) {
+            emitBlockAvx512(y_block + e0, slotStride_, block, slots,
+                            out_rows[0] + n0, preact.cols());
+            lap(commit_ns);
+            continue;
+        }
+#endif
+        for (std::size_t i = 0; i < slots; ++i) {
+            float *out = out_rows[i] + n0;
+            const std::uint32_t e = slot_entry[i];
+            for (std::size_t r = 0; r < block; ++r)
+                out[r] = y_block[r * slotStride_ + e];
         }
         lap(commit_ns);
     }

@@ -10,19 +10,27 @@
 ///
 /// A BNN gate call works in blocks of 32 neurons: probe the block for
 /// every live slot, decide the whole block, then commit it. Commit walks
-/// the block's neurons that missed on some slot in triples; when a
-/// triple's misses together cover every slot, one register tile
-/// (tensor::dotLanesTile) evaluates all three neurons over the full
-/// panel and each commits only its own misses — the hit slots it also
-/// computed are dropped, because a partially missing neuron streams the
-/// same weight row as a fully missing one. Other neurons are evaluated
-/// alone over the slots they missed.
+/// the block's neurons that missed on some slot in groups of up to three
+/// consecutive ones: one register tile (tensor::dotLanesTile) evaluates
+/// the group over the compacted union of its misses, and each neuron
+/// commits only its own misses — the other dots of the union are
+/// dropped, because a partially missing neuron streams the same weight
+/// row as a fully missing one. A group whose own misses fill less than
+/// half of its union tile (the measured break-even, docs/SIMD.md)
+/// shrinks, down to one neuron over its own misses. After commit every
+/// table entry of the block holds its slot's output (the reused y_m or
+/// the fresh y_t), so the block's preacts are emitted from the table in
+/// one transposing pass.
 ///
-/// The decide step has one vector form (AVX-512, eight slots per step,
-/// each against its own Q16 theta) and the scalar bnnReuseDecision
-/// loop. The scalar loop runs only for non-dense slot lists, a theta
-/// above the (theta + 1) * mag overflow bound, throttling off, or a
-/// probe ISA other than AVX-512.
+/// On a dense slot range with the AVX-512 probe selected, decide, commit
+/// and emission stay on the vector path: eight slots per step, each
+/// against its own Q16 theta, Eq. 13 as a lane-wise double division,
+/// masked table stores, and 8 x 8 transposes. The scalar
+/// bnnReuseDecision loop decides non-dense slot lists (ragged serving
+/// panels), a theta above the (theta + 1) * mag overflow bound, a gate
+/// too wide for the exact double quotient, throttling off, or a probe
+/// ISA other than AVX-512; the portable commit and emission serve any
+/// slot list, committing each dot by its rank in the union.
 ///
 /// Every sequence slot evolves exactly as a serial MemoEngine would evolve
 /// for that sequence alone (shared decision kernels, memo/memo_decision.hh)
@@ -58,7 +66,8 @@ namespace nlfm::memo
 /// accumulated by BatchMemoEngine when a sink is attached
 /// (setPhaseSink). Probe covers input binarization, per-call scratch
 /// setup and the bit-packed yb_t panel kernel; decide the per-neuron reuse decisions (Phase 1);
-/// commit the miss FMA tiles + table refresh (Phase 2). Atomic
+/// commit the miss FMA tiles + table refresh (Phase 2) and the emission
+/// of the block's outputs from the table. Atomic
 /// because a serving tick's chunks may run on concurrent pool workers,
 /// each flushing its per-call totals once. Consumers (the serving
 /// tracer) difference the counters between reads — values are

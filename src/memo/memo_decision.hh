@@ -16,6 +16,10 @@
 #include <cmath>
 #include <cstdint>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "common/fixed_point.hh"
 #include "tensor/vector_ops.hh"
 
@@ -86,6 +90,36 @@ bnnReuseDecision(std::int32_t yb_t, std::int32_t yb_m, bool valid,
     }
     return decision;
 }
+
+#if defined(__x86_64__)
+
+/**
+ * Largest Eq. 13 dividend (diff << 16) for which eq13QuotientLanes is
+ * exact: below 2^53, every dividend converts to double exactly.
+ */
+inline constexpr std::int64_t kEq13ExactDividend = std::int64_t{1} << 53;
+
+/**
+ * Eq. 13's quotient (diff << 16) / mag for eight nonnegative lanes as a
+ * truncated double division, bit-identical to the integer division in
+ * bnnReuseDecision whenever every dividend is below kEq13ExactDividend
+ * and every divisor positive. The converted operands are exact, so
+ * the quotient a / b is correctly rounded: an integer quotient comes
+ * out exact, and a non-integer one lies at least 1 / b from the next
+ * integer while its rounding error is at most (a / b) * 2^-53 < 1 / b,
+ * so truncation lands on floor(a / b). Lanes outside @p lanes are zero
+ * (and may hold a zero divisor).
+ */
+__attribute__((target("avx512f,avx512dq"))) inline __m512i
+eq13QuotientLanes(__mmask8 lanes, __m512i scaled, __m512i mag)
+{
+    const __m512d quotient =
+        _mm512_maskz_div_pd(lanes, _mm512_maskz_cvtepi64_pd(lanes, scaled),
+                            _mm512_maskz_cvtepi64_pd(lanes, mag));
+    return _mm512_maskz_cvttpd_epi64(lanes, quotient);
+}
+
+#endif // __x86_64__
 
 /**
  * Oracle reuse decision (Eq. 9): reuse while the true relative output

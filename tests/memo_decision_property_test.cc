@@ -24,15 +24,27 @@
 ///    each slot at its own theta. Panels cover every slot at one
 ///    non-default theta, and mixed per-slot thetas at widths 8, 13
 ///    (masked tail step) and 64 (several full steps), and a slot whose
-///    theta is past the vector path's overflow bound (scalar fallback).
-///    Unsupported ISA arms are skipped.
+///    theta is past the vector path's overflow bound (scalar fallback),
+///    and an IMDB-shaped LSTM (hidden 80: full and partial 32-neuron
+///    probe blocks) whose per-slot memo tables must also match bit for
+///    bit across ISAs. An ISA arm the host cannot run is skipped with a
+///    note in the test log.
+///  - Eq. 13's quotient: the vector decide's truncated double division
+///    against the integer one over the whole (diff, mag) domain of the
+///    zoo's BNN widths.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <iostream>
 #include <iterator>
 #include <limits>
 #include <vector>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "common/rng.hh"
 #include "memo/memo_batch.hh"
@@ -215,7 +227,85 @@ TEST(MemoDecisionProperty, SaturatedThetaAndZeroOutputs)
                 }
 }
 
+// ------------------------------------------------- Eq. 13 quotient
+
+/// Largest BNN gate width in the zoo: MNMT's deeper layers, 1024 inputs
+/// + 1024 recurrent. |yb_t| <= width and |yb_t - yb_m| <= 2 * width.
+constexpr std::int64_t kZooMaxWidth = 2048;
+
+#if defined(__x86_64__)
+__attribute__((target("avx512f,avx512dq"))) void
+quotientLanes(const std::int64_t *scaled, const std::int64_t *mag,
+              std::int64_t *out)
+{
+    _mm512_storeu_si512(out, memo::eq13QuotientLanes(
+                                 0xff, _mm512_loadu_si512(scaled),
+                                 _mm512_loadu_si512(mag)));
+}
+#endif
+
+TEST(MemoDecisionProperty, Eq13QuotientExactOverZooWidths)
+{
+    // Every (mag, diff) the zoo can produce: the scalar decision's
+    // stored delta_b and the vector decide's double quotient must both
+    // equal the integer (diff << 16) / mag. Not a sample: the double
+    // path's exactness argument (memo_decision.hh) is checked at every
+    // point of the domain.
+    const Q16 wide_open = Q16::fromRaw(std::int64_t{1} << 40);
+    for (std::int64_t mag = 1; mag <= kZooMaxWidth; ++mag)
+        for (std::int64_t diff = 0; diff <= 2 * kZooMaxWidth; ++diff) {
+            const memo::BnnDecision decision = memo::bnnReuseDecision(
+                static_cast<std::int32_t>(mag),
+                static_cast<std::int32_t>(mag - diff), true, 0, true,
+                wide_open);
+            if (!decision.reuse || decision.deltaRaw != (diff << 16) / mag)
+                FAIL() << "scalar Eq. 13 at mag " << mag << " diff "
+                       << diff << ": " << decision.deltaRaw;
+        }
+    static_assert((2 * kZooMaxWidth) << 16 < memo::kEq13ExactDividend);
+
+#if defined(__x86_64__)
+    if (!__builtin_cpu_supports("avx512f") ||
+        !__builtin_cpu_supports("avx512dq"))
+        GTEST_SKIP() << "no AVX-512F/DQ on this host: the vector Eq. 13 "
+                        "quotient is unverified";
+    std::int64_t scaled[8];
+    std::int64_t mags[8];
+    std::int64_t quotient[8];
+    for (std::int64_t mag = 1; mag <= kZooMaxWidth; ++mag) {
+        std::fill(std::begin(mags), std::end(mags), mag);
+        for (std::int64_t diff = 0; diff <= 2 * kZooMaxWidth; diff += 8) {
+            for (std::int64_t l = 0; l < 8; ++l)
+                scaled[l] = std::min(diff + l, 2 * kZooMaxWidth) << 16;
+            quotientLanes(scaled, mags, quotient);
+            for (std::int64_t l = 0; l < 8; ++l)
+                if (quotient[l] != scaled[l] / mag)
+                    FAIL() << "vector Eq. 13 at mag " << mag << " diff "
+                           << (scaled[l] >> 16) << ": " << quotient[l]
+                           << " != " << scaled[l] / mag;
+        }
+    }
+#else
+    GTEST_SKIP() << "not an x86-64 build: no vector Eq. 13 quotient";
+#endif
+}
+
 // --------------------------------------------- engine-level ISA identity
+
+/// Select @p isa for the BNN probe (and with it the batch engine's
+/// decide and commit path). An arm the host cannot run is reported in
+/// the test log rather than passed over silently, so a log shows when
+/// the AVX-512 decide and commit went unverified.
+bool
+selectIsa(tensor::BnnIsa isa)
+{
+    if (tensor::bnnSetIsa(isa))
+        return true;
+    std::cout << "[   NOTE   ] probe ISA " << tensor::bnnIsaName(isa)
+              << " not supported on this host; its arm is skipped"
+              << std::endl;
+    return false;
+}
 
 nn::RnnConfig
 panelConfig()
@@ -249,7 +339,8 @@ equalLengthSequences(std::size_t batch, std::size_t steps,
 std::pair<std::vector<nn::Sequence>, std::uint64_t>
 servePanel(nn::RnnNetwork &network, nn::BinarizedNetwork &bnn,
            const memo::MemoOptions &options,
-           const std::vector<nn::Sequence> &sequences, double theta)
+           const std::vector<nn::Sequence> &sequences, double theta,
+           std::vector<memo::SlotMemoState> *snapshots = nullptr)
 {
     const std::size_t slots = sequences.size();
     nn::NetworkStepper stepper(network, slots);
@@ -277,6 +368,11 @@ servePanel(nn::RnnNetwork &network, nn::BinarizedNetwork &bnn,
             const auto out = stepper.output(s);
             outputs[s].emplace_back(out.begin(), out.end());
         }
+    }
+    if (snapshots != nullptr) {
+        snapshots->resize(slots);
+        for (std::size_t s = 0; s < slots; ++s)
+            engine.exportSlot(s, (*snapshots)[s]);
     }
     return {std::move(outputs), engine.stats().totalReused()};
 }
@@ -316,8 +412,8 @@ TEST(MemoDecisionProperty, UniformNonDefaultThetaPanelIsIsaInvariant)
     for (const tensor::BnnIsa isa :
          {tensor::BnnIsa::Portable, tensor::BnnIsa::Avx2,
           tensor::BnnIsa::Avx512}) {
-        if (!tensor::bnnSetIsa(isa))
-            continue; // unsupported on this host
+        if (!selectIsa(isa))
+            continue;
         const auto [outputs, reused] =
             servePanel(network, bnn, options, sequences, served_theta);
         EXPECT_EQ(reused, serial_reused)
@@ -389,7 +485,7 @@ TEST(MemoDecisionProperty, MixedThetaPanelIsIsaInvariant)
 
         for (const tensor::BnnIsa isa :
              {tensor::BnnIsa::Portable, tensor::BnnIsa::Avx512}) {
-            if (!tensor::bnnSetIsa(isa))
+            if (!selectIsa(isa))
                 continue;
             nn::NetworkStepper stepper(network, slots);
             memo::BatchMemoEngine engine(network, &bnn, options);
@@ -419,6 +515,114 @@ TEST(MemoDecisionProperty, MixedThetaPanelIsIsaInvariant)
             EXPECT_EQ(engine.stats().totalReused(), serial_reused)
                 << "isa " << tensor::bnnIsaName(isa) << " slots "
                 << slots;
+        }
+    }
+    tensor::bnnSetIsa(tensor::bnnBestIsa());
+}
+
+/// AR(1) frames, x_t = 0.8 x_{t-1} + 0.6 noise: inputs that drift, so
+/// a panel mixes reusing and missing neurons.
+std::vector<nn::Sequence>
+driftingSequences(std::size_t batch, std::size_t steps, std::size_t width,
+                  std::uint64_t seed)
+{
+    auto sequences = equalLengthSequences(batch, steps, width, seed);
+    for (auto &sequence : sequences)
+        for (std::size_t t = 1; t < steps; ++t)
+            for (std::size_t i = 0; i < width; ++i)
+                sequence[t][i] = 0.8f * sequence[t - 1][i] +
+                                 0.6f * sequence[t][i];
+    return sequences;
+}
+
+TEST(MemoDecisionProperty, ImdbShapedPanelsMatchSerialAndAcrossIsas)
+{
+    // IMDB's gate shape (LSTM, 64 inputs) at its theta 0.5, with hidden
+    // 80: probe blocks of 32, 32 and 16 neurons, so commit groups of
+    // three consecutive missing rows leave 1- and 2-row remainders.
+    // 256 slots is imdb-batch's chunk; 13 adds a masked 8-slot step.
+    // Besides outputs and reuse against the serial engine, every slot's
+    // memo table (y_m, yb_m, delta_b, valid) must be bitwise equal
+    // across ISAs: the vector decide's delta_b update and the masked
+    // commit are checked directly, not only through later decisions.
+    nn::RnnConfig config;
+    config.cellType = nn::CellType::Lstm;
+    config.inputSize = 64;
+    config.hiddenSize = 80;
+    config.layers = 1;
+    config.peepholes = true;
+    nn::RnnNetwork network(config);
+    Rng init_rng(101);
+    nn::initNetwork(network, init_rng);
+    nn::BinarizedNetwork bnn(network);
+
+    memo::MemoOptions options;
+    options.predictor = memo::PredictorKind::Bnn;
+    options.theta = 0.5;
+
+    for (const std::size_t slots : {std::size_t{256}, std::size_t{13}}) {
+        const auto sequences =
+            driftingSequences(slots, 12, config.inputSize, 404 + slots);
+
+        ASSERT_TRUE(tensor::bnnSetIsa(tensor::BnnIsa::Portable));
+        std::vector<nn::Sequence> reference;
+        std::uint64_t serial_reused = 0;
+        std::uint64_t serial_total = 0;
+        for (const auto &sequence : sequences) {
+            memo::MemoEngine serial(network, &bnn, options);
+            reference.push_back(network.forward(sequence, serial));
+            serial_reused += serial.stats().totalReused();
+            serial_total += serial.stats().totalSlots();
+        }
+        // Both outcomes must be common, or one path goes untested.
+        EXPECT_GT(serial_reused * 5, serial_total) << "slots " << slots;
+        EXPECT_LT(serial_reused * 5, serial_total * 4) << "slots " << slots;
+
+        std::vector<memo::SlotMemoState> first;
+        const char *first_isa = nullptr;
+        for (const tensor::BnnIsa isa :
+             {tensor::BnnIsa::Portable, tensor::BnnIsa::Avx2,
+              tensor::BnnIsa::Avx512}) {
+            if (!selectIsa(isa))
+                continue;
+            std::vector<memo::SlotMemoState> tables;
+            const auto [outputs, reused] = servePanel(
+                network, bnn, options, sequences, options.theta, &tables);
+            const char *name = tensor::bnnIsaName(isa);
+            EXPECT_EQ(reused, serial_reused)
+                << "isa " << name << " slots " << slots;
+            for (std::size_t s = 0; s < slots; ++s)
+                for (std::size_t t = 0; t < outputs[s].size(); ++t)
+                    for (std::size_t i = 0; i < outputs[s][t].size(); ++i)
+                        ASSERT_EQ(outputs[s][t][i], reference[s][t][i])
+                            << "isa " << name << " slots " << slots
+                            << " slot " << s << " step " << t
+                            << " element " << i;
+            if (first_isa == nullptr) {
+                first = std::move(tables);
+                first_isa = name;
+                continue;
+            }
+            for (std::size_t s = 0; s < slots; ++s) {
+                const memo::SlotMemoState &a = first[s];
+                const memo::SlotMemoState &b = tables[s];
+                ASSERT_EQ(a.cachedOutput.size(), b.cachedOutput.size());
+                for (std::size_t n = 0; n < a.cachedOutput.size(); ++n) {
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(a.cachedOutput[n]),
+                              std::bit_cast<std::uint32_t>(b.cachedOutput[n]))
+                        << first_isa << " vs " << name << " slots " << slots
+                        << " slot " << s << " neuron " << n << " y_m";
+                    ASSERT_EQ(a.cachedBnn[n], b.cachedBnn[n])
+                        << first_isa << " vs " << name << " slot " << s
+                        << " neuron " << n << " yb_m";
+                    ASSERT_EQ(a.deltaRaw[n], b.deltaRaw[n])
+                        << first_isa << " vs " << name << " slot " << s
+                        << " neuron " << n << " delta_b";
+                    ASSERT_EQ(a.valid[n], b.valid[n])
+                        << first_isa << " vs " << name << " slot " << s
+                        << " neuron " << n << " valid";
+                }
+            }
         }
     }
     tensor::bnnSetIsa(tensor::bnnBestIsa());
